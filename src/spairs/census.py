@@ -5,11 +5,12 @@ flat contiguous uint64 array per word, in enumeration order.  A pair is
 disjoint iff the AND of the two masks is zero in every word; the scan is
 vectorized with numpy over the trailing axis, one row at a time.
 
-Two scan modes exist and must agree: "unordered" walks the strict upper
-triangle (i < j) and doubles, "ordered" counts disjoint partners over full
-rows and halves.  With ``workers`` > 1 the row range is partitioned into
-contiguous chunks handled by a process pool; partial sums are exact ints,
-so the result is identical for any worker count.
+The pair count walks the strict upper triangle (i < j) and doubles; the
+degree histogram counts disjoint partners over full rows, so its mass is a
+second, independently scanned ordered count.  With ``workers`` > 1 the row
+range is partitioned into contiguous chunks handled by a process pool;
+partial sums are exact ints, so the result is identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -161,36 +162,24 @@ def _check_scale(n: int, workers: int) -> None:
 def run_census(
     n: int,
     workers: int = 1,
-    mode: str = "unordered",
     progress: Callable[[int, int], None] | None = None,
 ) -> CensusResult:
     """Count disjoint pairs over the full matrix set by mask intersection.
 
-    ``mode`` picks the scan strategy ("unordered": triangular, "ordered":
-    full rows); both produce the same CensusResult.  ``progress``, if given,
-    is invoked with (rows done, rows total) as chunks complete.
+    Scans the strict upper triangle once; the ordered count is twice the
+    unordered one.  ``progress``, if given, is invoked with (rows done, rows
+    total) as chunks complete.
     """
     _check_scale(n, workers)
-    if mode not in ("unordered", "ordered"):
-        raise ValueError(f"mode must be 'unordered' or 'ordered', got {mode!r}")
     start = time.perf_counter()
     words = mask_words(n)
     total = words.shape[1]
     chunks = 1 if workers == 1 else workers * 4
-    if mode == "unordered":
-        spans = _triangular_splits(total, chunks)
-        parts = _run_chunks(words, spans, _triangular_chunk, _pool_triangular,
-                            workers, progress)
-        unordered = sum(parts)
-        ordered = 2 * unordered
-    else:
-        spans = _even_splits(total, chunks)
-        parts = _run_chunks(words, spans, _partner_chunk, _pool_partner,
-                            workers, progress)
-        ordered = int(sum(int(p.sum()) for p in parts))
-        if ordered % 2:
-            raise ArithmeticError(f"ordered census count is odd: {ordered}")
-        unordered = ordered // 2
+    spans = _triangular_splits(total, chunks)
+    parts = _run_chunks(words, spans, _triangular_chunk, _pool_triangular,
+                        workers, progress)
+    unordered = sum(parts)
+    ordered = 2 * unordered
     elapsed = time.perf_counter() - start
     return CensusResult(n, ordered, unordered, total, elapsed)
 

@@ -155,10 +155,9 @@ def _cmd_count(args) -> tuple[dict, dict]:
 
 
 def _cmd_census(args) -> tuple[dict, dict]:
-    res = run_census(args.n, workers=args.workers, mode=args.mode)
+    res = run_census(args.n, workers=args.workers)
     payload = {
         "n": res.n,
-        "mode": args.mode,
         "workers": args.workers,
         "matrices_scanned": str(res.matrices_scanned),
         "ordered_pairs": str(res.ordered_pairs),
@@ -166,7 +165,7 @@ def _cmd_census(args) -> tuple[dict, dict]:
         # measurement, not a count; the one payload field that varies by run
         "elapsed_seconds": f"{res.elapsed_seconds:.3f}",
     }
-    return {"n": args.n, "mode": args.mode, "workers": args.workers}, payload
+    return {"n": args.n, "workers": args.workers}, payload
 
 
 def _cmd_sudoku(args) -> tuple[dict, dict]:
@@ -264,8 +263,7 @@ def _table_count(payload: dict) -> str:
 
 def _table_census(payload: dict) -> str:
     return (
-        f"block order {payload['n']}, mode {payload['mode']}, "
-        f"workers {payload['workers']}\n"
+        f"block order {payload['n']}, workers {payload['workers']}\n"
         f"matrices scanned {payload['matrices_scanned']}\n"
         f"ordered pairs    {payload['ordered_pairs']}\n"
         f"unordered pairs  {payload['unordered_pairs']}\n"
@@ -328,7 +326,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("census", help="brute-force pair census with timing")
     p.add_argument("--n", type=int, default=2, help="block order (cap 3)")
-    p.add_argument("--mode", choices=["unordered", "ordered"], default="unordered")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", metavar="FILE")

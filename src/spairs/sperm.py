@@ -12,6 +12,10 @@ bijection onto the set of S-permutation matrices, so there are exactly
 Cell indexing convention, frozen once for the whole package: global
 coordinates are 1-based in the API; occupancy masks are plain integers with
 bit index (row-1)*n² + (col-1), i.e. 0-based row-major.
+
+``cell_bitsets`` turns the masks on their side: one integer per cell whose
+bit j says whether matrix j of the enumeration order holds a 1 there, built
+from the digits of j without any matrix object.
 """
 
 from __future__ import annotations
@@ -121,6 +125,10 @@ def matrix_count(n: int) -> int:
     return math.factorial(n) ** (2 * n)
 
 
+def _words(n: int) -> list[Perm]:
+    return list(permutations(range(1, n + 1)))  # lexicographic
+
+
 def enumerate_matrices(n: int, *, max_n: int = ENUMERATION_CAP) -> Iterator[SPermMatrix]:
     """Yield every S-permutation matrix of block order n, exactly once.
 
@@ -134,9 +142,70 @@ def enumerate_matrices(n: int, *, max_n: int = ENUMERATION_CAP) -> Iterator[SPer
             f"pass max_n={n} to force it"
         )
     matrix_count(n)  # range check on n
-    words = list(permutations(range(1, n + 1)))  # lexicographic
+    words = _words(n)
     for combo in product(words, repeat=2 * n):
         yield SPermMatrix(n, combo[:n], combo[n:])
+
+
+def matrix_at(n: int, j: int) -> SPermMatrix:
+    """The j-th matrix (0-based) in the order of ``enumerate_matrices(n)``.
+
+    Needs no enumeration: j is read as 2n digits in base n!, most
+    significant first, each digit the lexicographic rank of one permutation.
+    """
+    total = matrix_count(n)
+    if not 0 <= j < total:
+        raise IndexError(f"matrix index {j} outside 0..{total - 1}")
+    words = _words(n)
+    digits = []
+    for _ in range(2 * n):
+        j, d = divmod(j, len(words))
+        digits.append(words[d])
+    digits.reverse()
+    return SPermMatrix(n, tuple(digits[:n]), tuple(digits[n:]))
+
+
+def cell_bitsets(n: int) -> list[int]:
+    """Per-cell membership bitsets over the whole enumeration order.
+
+    Entry (row-1)*n² + (col-1) has bit j set iff ``matrix_at(n, j)`` holds a
+    1 at (row, col); every entry has (n!)^(2n) / n² bits set.  Block (s, t)
+    holds its 1 at within-block (i, k) iff digit s-1 of the index (row
+    permutation s) has image i at t and digit n+t-1 (column permutation t)
+    has image k at s, so a cell's bitset is the AND of those two digits'
+    indicator patterns.  Capped at ``ENUMERATION_CAP``, like the enumeration.
+    """
+    total = matrix_count(n)
+    if n > ENUMERATION_CAP:
+        raise SizeLimitError(
+            f"cell bitsets at block order {n} mean {n ** 4} sets of {total} "
+            f"bits; capped at n <= {ENUMERATION_CAP}"
+        )
+    words = _words(n)
+    radix, digits = len(words), 2 * n
+
+    def indicator(digit: int, pos: int, image: int) -> int:
+        # bits j whose given digit names a permutation with p[pos] == image:
+        # runs of `run` ones, one period of radix*run bits, tiled up to total
+        run = radix ** (digits - 1 - digit)
+        ones = (1 << run) - 1
+        period = 0
+        for d, word in enumerate(words):
+            if word[pos] == image:
+                period |= ones << (d * run)
+        width = radix * run
+        return period * (((1 << total) - 1) // ((1 << width) - 1))
+
+    n2 = n * n
+    out = [0] * (n2 * n2)
+    for s in range(n):
+        for t in range(n):
+            cols = [indicator(n + t, s, k) for k in range(1, n + 1)]
+            for i in range(1, n + 1):
+                rows = indicator(s, t, i)
+                for k in range(1, n + 1):
+                    out[(s * n + i - 1) * n2 + t * n + k - 1] = rows & cols[k - 1]
+    return out
 
 
 def ones_mask(a: SPermMatrix) -> OnesMask:

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .sperm import (
-    OnesMask,
-    Perm,
     SizeLimitError,
     SPermMatrix,
     build_matrix,
+    cell_bitsets,
     enumerate_matrices,
     is_disjoint,
+    matrix_at,
+    matrix_count,
 )
 
 KNOWN_GRID_COUNTS = {
@@ -256,71 +257,60 @@ def clique_count_from_grid_count(grid_count: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def sample_family(
-    n: int,
-    seed: int,
-    max_restarts: int = 1000,
-    stall_limit: int | None = None,
-) -> DisjointFamily:
-    """Greedy randomized growth of a disjoint family, with restarts.
+def _nth_set_bit(bits: int, r: int) -> int:
+    """Position of the r-th (0-based, from the low end) set bit of ``bits``.
 
-    Draws uniform S-permutation matrices (2n independent uniform
-    permutations, so exactly uniform over the whole set), keeps each draw
-    that is disjoint from everything kept so far, and restarts after
-    ``stall_limit`` consecutive rejections.  Returns the first complete
-    family (size n²) found, otherwise the largest found within
-    ``max_restarts`` restarts; the result is never overlapping, and its
-    size flags success.
+    Bisects the window with ``int.bit_count`` instead of walking bit by bit.
+    """
+    base, width = 0, bits.bit_length()
+    while width > 1:
+        half = width // 2
+        low = bits & ((1 << half) - 1)
+        below = low.bit_count()
+        if r < below:
+            bits, width = low, half
+        else:
+            bits, width, base, r = bits >> half, width - half, base + half, r - below
+    return base
 
-    The default stall limit is three times the matrix pool size (n!)^(2n).
-    That scale matters: once n²-1 members are kept, exactly one matrix can
-    complete the family (the free cells always form one more), so the last
-    stage is a 1-in-(n!)^(2n) draw and a much smaller window would restart
-    long before a fair shot at it.
+
+def sample_family(n: int, seed: int, max_restarts: int = 1000) -> DisjointFamily:
+    """Randomized growth of a disjoint family by exact draws, with restarts.
+
+    Keeps the set of candidates, the matrices disjoint from every member
+    kept so far, as one bitset over the enumeration order of
+    ``enumerate_matrices`` (built from ``cell_bitsets``).  Each step draws
+    one candidate uniformly and removes every matrix that shares a cell with
+    it.  That is the distribution a rejection loop over uniform draws would
+    give, without its waiting.  An empty candidate set is an exact dead end
+    and starts a restart.  Returns the first complete family (size n²)
+    found, otherwise the largest found within ``max_restarts`` attempts; the
+    result is never overlapping, and its size flags success.
 
     Reproducibility contract: the generator is MT19937 as exposed by
-    ``random.Random(seed)``, and each permutation is drawn by
-    ``Random.shuffle`` (Fisher-Yates over 1..n).  Same arguments, same
-    family, on any platform.
+    ``random.Random(seed)``, and each step takes the candidate whose rank in
+    enumeration order is ``Random.randrange`` of the candidate count.  Same
+    arguments, same family, on any platform.
     """
     if n > 3:
         raise SizeLimitError(f"family sampling capped at block order 3, got {n}")
     rng = random.Random(seed)
     want = n * n
-    n2 = n * n
-    if stall_limit is None:
-        stall_limit = 3 * math.factorial(n) ** (2 * n)
-
-    def draw() -> tuple[tuple[Perm, ...], tuple[Perm, ...], int]:
-        # mask computed inline so rejected draws stay cheap
-        perms = []
-        for _ in range(2 * n):
-            word = list(range(1, n + 1))
-            rng.shuffle(word)
-            perms.append(tuple(word))
-        rows, cols = tuple(perms[:n]), tuple(perms[n:])
-        bits = 0
-        for s in range(n):
-            row_word = rows[s]
-            for t in range(n):
-                r = s * n + row_word[t]  # 1-based global row
-                c = t * n + cols[t][s]
-                bits |= 1 << ((r - 1) * n2 + (c - 1))
-        return rows, cols, bits
+    cells = cell_bitsets(n)
+    everything = (1 << matrix_count(n)) - 1
 
     best: list[SPermMatrix] = []
     for _ in range(max(max_restarts, 1)):
         kept: list[SPermMatrix] = []
-        occupied = 0
-        stall = 0
-        while len(kept) < want and stall < stall_limit:
-            rows, cols, bits = draw()
-            if bits & occupied == 0:
-                kept.append(SPermMatrix(n, rows, cols))
-                occupied |= bits
-                stall = 0
-            else:
-                stall += 1
+        candidates = everything
+        while len(kept) < want and candidates:
+            j = _nth_set_bit(candidates, rng.randrange(candidates.bit_count()))
+            member = matrix_at(n, j)
+            kept.append(member)
+            occupied = 0
+            for r, c in member.cells():
+                occupied |= cells[(r - 1) * want + (c - 1)]  # row stride n²
+            candidates &= ~occupied
         if len(kept) == want:
             return DisjointFamily(n, tuple(kept))
         if len(kept) > len(best):

@@ -112,6 +112,7 @@ def test_criterion_04_stated_census_values(acceptance_log, census3):
         4,
         got == (144, 72, 630_042_624),
         f"stated values (144, 72, 630042624) vs measured {got}",
+        pinned_mismatch=True,
     )
     assert got == (144, 72, 630_042_624)
 

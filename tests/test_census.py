@@ -19,14 +19,6 @@ class TestSmallCensus:
         assert result.unordered_pairs == 56
         assert result.elapsed_seconds > 0
 
-    def test_scan_modes_agree(self):
-        unordered = run_census(2, mode="unordered")
-        ordered = run_census(2, mode="ordered")
-        assert (unordered.ordered_pairs, unordered.unordered_pairs) == (
-            ordered.ordered_pairs,
-            ordered.unordered_pairs,
-        )
-
     def test_worker_count_never_changes_the_answer(self):
         reference = run_census(2, workers=1)
         for workers in (2, 3):
@@ -88,10 +80,6 @@ class TestScaleAndErrors:
     def test_bad_workers(self):
         with pytest.raises(ValueError, match="worker count"):
             run_census(2, workers=0)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode must be"):
-            run_census(2, mode="diagonal")
 
 
 def test_progress_reporting():

@@ -146,13 +146,6 @@ class TestCensus:
         assert payload["matrices_scanned"] == "16"
         assert re.fullmatch(r"\d+\.\d{3}", payload["elapsed_seconds"])
 
-    def test_ordered_mode(self, capsys):
-        code, doc, _err = run_json(
-            capsys, "census", "--n", "2", "--mode", "ordered"
-        )
-        assert code == 0
-        assert doc["payload"]["unordered_pairs"] == "56"
-
     def test_table(self, capsys):
         code, out, _err = run(capsys, "census", "--n", "2", "--format", "table")
         assert code == 0

@@ -1,3 +1,4 @@
+import random
 from itertools import islice, permutations
 
 import pytest
@@ -9,9 +10,11 @@ from spairs import (
     SizeLimitError,
     SPermMatrix,
     build_matrix,
+    cell_bitsets,
     enumerate_matrices,
     is_disjoint,
     mask_is_valid,
+    matrix_at,
     matrix_count,
     ones_mask,
 )
@@ -96,6 +99,48 @@ class TestCounting:
         first = list(islice(enumerate_matrices(4, max_n=4), 3))
         assert len(first) == 3
         assert all(mask_is_valid(m.mask) for m in first)
+
+
+@pytest.fixture(scope="module")
+def sampled3():
+    """A seeded sample of (index, matrix) pairs from the order-3 enumeration."""
+    picks = set(random.Random(3).sample(range(matrix_count(3)), 64))
+    return [(j, m) for j, m in enumerate(enumerate_matrices(3)) if j in picks]
+
+
+def _bitsets_agree_with_masks(n, indexed):
+    bitsets = cell_bitsets(n)
+    assert len(bitsets) == n**4
+    for j, m in indexed:
+        column = sum(((b >> j) & 1) << cell for cell, b in enumerate(bitsets))
+        assert column == m.mask.bits
+
+
+class TestCellIndex:
+    # the index derives its cells from digit patterns, never from SPermMatrix
+    # masks; these checks are what ties its cell convention to sperm's
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bitsets_match_every_mask(self, n):
+        _bitsets_agree_with_masks(n, enumerate(enumerate_matrices(n)))
+
+    def test_bitsets_match_sampled_masks_n3(self, sampled3):
+        _bitsets_agree_with_masks(3, sampled3)
+
+    def test_matrix_at_follows_enumeration(self, matrices2, sampled3):
+        assert [matrix_at(2, j) for j in range(16)] == matrices2
+        for j, m in sampled3:
+            assert matrix_at(3, j) == m
+
+    def test_matrix_at_range(self):
+        with pytest.raises(IndexError, match="outside 0..15"):
+            matrix_at(2, 16)
+        with pytest.raises(IndexError):
+            matrix_at(2, -1)
+
+    def test_bitsets_cap(self):
+        with pytest.raises(SizeLimitError, match="110075314176"):
+            cell_bitsets(4)
 
 
 class TestDisjointness:

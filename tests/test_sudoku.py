@@ -211,9 +211,11 @@ class TestSampler:
     def test_sampled_grid_validates(self, family3):
         assert validate(recompose(family3))
 
-    def test_zero_stall_budget_returns_partial(self):
-        family = sample_family(2, seed=0, max_restarts=1, stall_limit=0)
-        assert family.members == ()
+    def test_dead_end_without_restarts_returns_partial(self):
+        # at n=3 greedy growth can leave no matrix disjoint from the members
+        # kept; seed 0 stops at 7 members when no restart is allowed
+        family = sample_family(3, seed=0, max_restarts=1)
+        assert 0 < len(family.members) < 9
         assert not family.complete
 
     def test_scale_cap(self):
