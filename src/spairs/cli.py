@@ -226,13 +226,9 @@ def _table_graphs(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_graphs(n: int) -> str:
-    catalog = enumerate_catalog(n)
-    blocks = [
-        to_dot(Bigraph(n, e.code), name=f"g_{format_code(n, e.code)}")
-        for _k, e in catalog.entries()
-    ]
-    return "\n".join(blocks)
+def _dot_graphs(payload: dict) -> str:
+    n = payload["n"]
+    return "\n".join(to_dot(Bigraph(n, int(g["code"], 16))) for g in payload["graphs"])
 
 
 def _table_pairs(block: dict, title: str) -> list[str]:
@@ -365,7 +361,7 @@ def _render(command: str, args, params: dict, payload: dict) -> str:
     if args.format == "json":
         return json.dumps(_envelope(command, params, payload), indent=2) + "\n"
     if args.format == "dot":
-        return _dot_graphs(args.n)
+        return _dot_graphs(payload)
     return _TABLES[command](payload)
 
 

@@ -21,6 +21,11 @@ def relabel(g: Bigraph, row_map, col_map) -> Bigraph:
     return from_edges(g.n, [(row_map[r], col_map[c]) for r, c in g.edges()])
 
 
+def brute_force_orbit(g: Bigraph) -> set[int]:
+    perms = list(permutations(range(g.n)))
+    return {relabel(g, pr, pc).code for pr in perms for pc in perms}
+
+
 def cycle_lengths(perm):
     seen = [False] * len(perm)
     out = []
@@ -111,6 +116,7 @@ class TestCatalog:
             (1, [1, 1]),
             (2, [1, 1, 3, 1, 1]),
             (3, [1, 1, 3, 6, 7, 7, 6, 3, 1, 1]),
+            (4, [1, 1, 3, 6, 16, 21, 39, 44, 55, 44, 39, 21, 16, 6, 3, 1, 1]),
         ],
     )
     def test_bucket_sizes(self, n, sizes):
@@ -171,6 +177,15 @@ class TestCatalog:
             canon = canonical_code(Bigraph(2, mask))
             assert canon in codes
             assert canon <= mask
+
+    def test_canonical_code_is_brute_force_minimum(self):
+        for code in range(512):
+            g = Bigraph(3, code)
+            assert canonical_code(g) == min(brute_force_orbit(g))
+
+    def test_orbit_sizes_match_brute_force(self, catalog3):
+        for _k, e in catalog3.entries():
+            assert e.orbit_size == len(brute_force_orbit(Bigraph(3, e.code)))
 
     def test_scale_cap(self):
         with pytest.raises(SizeLimitError, match="2\\^25"):

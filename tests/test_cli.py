@@ -1,11 +1,16 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from spairs import cli, enumerate_catalog
 from spairs.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
 
 VALID_TEXT = "2\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
 
@@ -55,6 +60,18 @@ class TestGraphs:
         assert code == 0
         assert out.count('graph "g_') == 7
         assert "r1 -- c1;" in out
+
+    def test_dot_builds_the_catalog_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(n, **kwargs):
+            calls.append(n)
+            return enumerate_catalog(n, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_catalog", counting)
+        code, _out, _err = run(capsys, "graphs", "--n", "3", "--format", "dot")
+        assert code == 0
+        assert calls == [3]
 
     def test_scale_cap_exits_2(self, capsys):
         code, out, err = run(capsys, "graphs", "--n", "5")
@@ -260,3 +277,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["grid_count"] == "288"
+
+
+def test_reproduce_script_without_order_3():
+    proc = subprocess.run(
+        [sys.executable, REPO / "scripts" / "reproduce_counts.py", "--skip-order-3"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "formula (automorphism) vs census: match" in lines
+    assert "automorphism: ordered 4588496253937193582592" in lines
