@@ -1,33 +1,34 @@
 """Brute-force census of disjoint matrix pairs, independent of the formula.
 
 Every occupancy mask (n⁴ bits) is split into 64-bit words and stored in a
-flat contiguous uint64 array per word, in enumeration order.  A pair is
-disjoint iff the AND of the two masks is zero in every word; the scan is
-vectorized with numpy over the trailing axis, one row at a time.
+flat uint64 array per word, in enumeration order.  The census turns that
+array on its side: one Python int per cell, with bit j set iff matrix j
+covers the cell.  Matrix i shares a cell with matrix j iff bit j is set in
+the OR of the bitsets of i's n² cells, so i's disjoint partners number N
+minus the popcount of that OR; every pair is still tested, all of one row
+at once.
 
-The pair count walks the strict upper triangle (i < j) and doubles; the
-degree histogram counts disjoint partners over full rows, so its mass is a
-second, independently scanned ordered count.  With ``workers`` > 1 the row
-range is partitioned into contiguous chunks handled by a process pool;
-partial sums are exact ints, so the result is identical for any worker
-count.
+The partner counts of all rows give both results: their sum is the ordered
+pair count, which must be even and halves to the unordered one, and their
+tally is the degree histogram.  With ``workers`` > 1 the rows are split
+into even spans handled by a process pool; partial tallies are exact ints,
+so the result is identical for any worker count.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .sperm import SizeLimitError, enumerate_matrices, matrix_count
 
 CENSUS_CAP = 3  # n=4 would be ~6e21 pair tests
-
-_POOL_WORDS: np.ndarray | None = None  # per-process mask words, set by _pool_init
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,15 @@ class CensusResult:
     unordered_pairs: int
     matrices_scanned: int
     elapsed_seconds: float
+
+
+class CellIndex(NamedTuple):
+    bitsets: list[int]  # per cell: bit j set iff matrix j covers it
+    cells: bytearray  # per matrix: its cell indices, `width` bytes each
+    width: int  # n², the cells of one matrix
+
+
+_POOL_INDEX: CellIndex | None = None  # per-process cell index, set by _pool_init
 
 
 def mask_words(n: int) -> np.ndarray:
@@ -52,104 +62,58 @@ def mask_words(n: int) -> np.ndarray:
     return words
 
 
-def _triangular_chunk(words: np.ndarray, i0: int, i1: int) -> int:
-    """Disjoint pairs (i, j) with i0 <= i < i1 and i < j < total."""
-    nwords, total = words.shape
-    acc = np.empty(total, dtype=np.uint64)
-    tmp = np.empty(total, dtype=np.uint64)
-    hits = np.empty(total, dtype=bool)
-    count = 0
-    for i in range(i0, min(i1, total - 1)):
-        t = total - i - 1
-        np.bitwise_and(words[0, i + 1:], words[0, i], out=acc[:t])
-        for w in range(1, nwords):
-            np.bitwise_and(words[w, i + 1:], words[w, i], out=tmp[:t])
-            np.bitwise_or(acc[:t], tmp[:t], out=acc[:t])
-        np.equal(acc[:t], 0, out=hits[:t])
-        count += int(np.count_nonzero(hits[:t]))
-    return count
+def cell_index(words: np.ndarray, n: int) -> CellIndex:
+    """Transpose the mask words into per-cell bitsets and per-matrix cells."""
+    width = n * n
+    total = words.shape[1]
+    cells = bytearray(total * width)
+    slots = np.frombuffer(cells, dtype=np.uint8).reshape(total, width)
+    filled = np.zeros(total, dtype=np.uint8)
+    bitsets = []
+    for c in range(width * width):
+        covers = words[c // 64] & np.uint64(1 << c % 64) != 0
+        packed = np.packbits(covers, bitorder="little")
+        bitsets.append(int.from_bytes(packed.tobytes(), "little"))
+        rows = np.flatnonzero(covers)
+        slots[rows, filled[rows]] = c
+        filled[rows] += 1
+    return CellIndex(bitsets, cells, width)
 
 
-def _partner_chunk(words: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Disjoint-partner count for each row i in [i0, i1), over all j != i.
+def _partner_counts(index: CellIndex, i0: int, i1: int) -> Iterator[int]:
+    """Disjoint-partner count for each matrix i in [i0, i1), over all j != i.
 
-    A mask always intersects itself (popcount n² > 0), so j = i never counts
-    and needs no correction.
+    A matrix covers its own cells, so bit i is in the OR and j = i never
+    counts.
     """
-    nwords, total = words.shape
-    acc = np.empty(total, dtype=np.uint64)
-    tmp = np.empty(total, dtype=np.uint64)
-    hits = np.empty(total, dtype=bool)
-    out = np.empty(i1 - i0, dtype=np.int64)
-    for i in range(i0, i1):
-        np.bitwise_and(words[0], words[0, i], out=acc)
-        for w in range(1, nwords):
-            np.bitwise_and(words[w], words[w, i], out=tmp)
-            np.bitwise_or(acc, tmp, out=acc)
-        np.equal(acc, 0, out=hits)
-        out[i - i0] = np.count_nonzero(hits)
-    return out
+    bitsets, cells, width = index
+    total = len(cells) // width
+    for at in range(i0 * width, i1 * width, width):
+        acc = 0
+        for c in cells[at:at + width]:
+            acc |= bitsets[c]
+        yield total - acc.bit_count()
 
 
-def _pool_init(words: np.ndarray) -> None:
-    global _POOL_WORDS
-    _POOL_WORDS = words
+def _pool_init(index: CellIndex) -> None:
+    global _POOL_INDEX
+    _POOL_INDEX = index
 
 
-def _pool_triangular(span: tuple[int, int]) -> int:
-    assert _POOL_WORDS is not None
-    return _triangular_chunk(_POOL_WORDS, *span)
-
-
-def _pool_partner(span: tuple[int, int]) -> np.ndarray:
-    assert _POOL_WORDS is not None
-    return _partner_chunk(_POOL_WORDS, *span)
-
-
-def _triangular_splits(total: int, chunks: int) -> list[tuple[int, int]]:
-    # Row i scans total-i-1 pairs; split so chunks carry similar pair loads.
-    spans = []
-    target = total * (total - 1) / 2 / max(chunks, 1)
-    start, load = 0, 0.0
-    for i in range(total):
-        load += total - i - 1
-        if load >= target and len(spans) < chunks - 1:
-            spans.append((start, i + 1))
-            start, load = i + 1, 0.0
-    spans.append((start, total))
-    return spans
+def _pool_tally(span: tuple[int, int]) -> Counter:
+    assert _POOL_INDEX is not None
+    return Counter(_partner_counts(_POOL_INDEX, *span))
 
 
 def _even_splits(total: int, chunks: int) -> list[tuple[int, int]]:
-    step = max(1, -(-total // max(chunks, 1)))
+    step = -(-total // chunks)
     return [(i, min(i + step, total)) for i in range(0, total, step)]
 
 
-def _run_chunks(words, spans, chunk_fn, pool_fn, workers, progress):
-    total = words.shape[1]
-    results = []
-    if workers == 1:
-        done = 0
-        for span in spans:
-            results.append(chunk_fn(words, *span))
-            done += span[1] - span[0]
-            if progress is not None:
-                progress(done, total)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(words,)
-        ) as pool:
-            futures = [pool.submit(pool_fn, span) for span in spans]
-            done = 0
-            for span, fut in zip(spans, futures):
-                results.append(fut.result())
-                done += span[1] - span[0]
-                if progress is not None:
-                    progress(done, total)
-    return results
-
-
-def _check_scale(n: int, workers: int) -> None:
+def _tally(
+    n: int, workers: int, progress: Callable[[int, int], None] | None
+) -> tuple[Counter, int]:
+    """Tally of the partner counts of every matrix, and the matrix count."""
     if n > CENSUS_CAP:
         raise SizeLimitError(
             f"census at block order {n} means ~{matrix_count(n) ** 2 // 2} "
@@ -157,6 +121,30 @@ def _check_scale(n: int, workers: int) -> None:
         )
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
+    words = mask_words(n)
+    total = words.shape[1]
+    index = cell_index(words, n)
+    if workers == 1:
+        tally = Counter(_partner_counts(index, 0, total))
+        if progress is not None:
+            progress(total, total)
+        return tally, total
+    # the answer does not depend on the pool size, so never fork more
+    # processes than there are CPUs to run them or spans to hand out
+    procs = min(workers, len(os.sched_getaffinity(0)))
+    spans = _even_splits(total, procs * 4)
+    with ProcessPoolExecutor(
+        max_workers=min(procs, len(spans)), initializer=_pool_init, initargs=(index,)
+    ) as pool:
+        tally: Counter = Counter()
+        done = 0
+        futures = [pool.submit(_pool_tally, span) for span in spans]
+        for span, fut in zip(spans, futures):
+            tally.update(fut.result())
+            done += span[1] - span[0]
+            if progress is not None:
+                progress(done, total)
+    return tally, total
 
 
 def run_census(
@@ -164,24 +152,20 @@ def run_census(
     workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> CensusResult:
-    """Count disjoint pairs over the full matrix set by mask intersection.
+    """Count disjoint pairs over the full matrix set by cell intersection.
 
-    Scans the strict upper triangle once; the ordered count is twice the
-    unordered one.  ``progress``, if given, is invoked with (rows done, rows
-    total) as chunks complete.
+    The ordered count is the sum of every matrix's disjoint-partner count;
+    raises ArithmeticError if that sum is odd, since each unordered pair
+    is counted from both ends.  ``progress``, if given, is invoked with
+    (rows done, rows total) as spans complete.
     """
-    _check_scale(n, workers)
     start = time.perf_counter()
-    words = mask_words(n)
-    total = words.shape[1]
-    chunks = 1 if workers == 1 else workers * 4
-    spans = _triangular_splits(total, chunks)
-    parts = _run_chunks(words, spans, _triangular_chunk, _pool_triangular,
-                        workers, progress)
-    unordered = sum(parts)
-    ordered = 2 * unordered
+    tally, total = _tally(n, workers, progress)
+    ordered = sum(count * freq for count, freq in tally.items())
+    if ordered % 2:
+        raise ArithmeticError(f"partner counts at block order {n} sum to odd {ordered}")
     elapsed = time.perf_counter() - start
-    return CensusResult(n, ordered, unordered, total, elapsed)
+    return CensusResult(n, ordered, ordered // 2, total, elapsed)
 
 
 def degree_histogram(n: int, workers: int = 1) -> dict[int, int]:
@@ -189,15 +173,5 @@ def degree_histogram(n: int, workers: int = 1) -> dict[int, int]:
 
     The mass sum(count * frequency) equals the ordered pair count.
     """
-    _check_scale(n, workers)
-    words = mask_words(n)
-    total = words.shape[1]
-    chunks = 1 if workers == 1 else workers * 4
-    spans = _even_splits(total, chunks)
-    parts = _run_chunks(words, spans, _partner_chunk, _pool_partner, workers, None)
-    hist = Counter()
-    for part in parts:
-        values, freqs = np.unique(part, return_counts=True)
-        for v, f in zip(values, freqs):
-            hist[int(v)] += int(f)
-    return dict(hist)
+    tally, _total = _tally(n, workers, None)
+    return dict(tally)

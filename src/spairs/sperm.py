@@ -78,11 +78,15 @@ class SPermMatrix:
 
     @cached_property
     def mask(self) -> OnesMask:
-        n2 = self.n * self.n
+        # block (s, t), 0-based here, holds its 1 at global 0-based row
+        # s*n + row_perms[s][t] - 1 and column t*n + col_perms[t][s] - 1
+        n = self.n
+        n2 = n * n
         bits = 0
-        for r, c in self.cells():
-            bits |= 1 << ((r - 1) * n2 + (c - 1))
-        return OnesMask(self.n, bits)
+        for s, row in enumerate(self.row_perms):
+            for t, col in enumerate(self.col_perms):
+                bits |= 1 << ((s * n + row[t] - 1) * n2 + t * n + col[s] - 1)
+        return OnesMask(n, bits)
 
     def transpose(self) -> SPermMatrix:
         """Matrix transpose; swaps the roles of row and column permutations."""

@@ -1,7 +1,20 @@
+import os
+import random
+from concurrent.futures import Future
+
 import pytest
 
-from spairs import SizeLimitError, degree_histogram, matrix_count, run_census
-from spairs.census import mask_words
+from spairs import (
+    SizeLimitError,
+    cell_bitsets,
+    census,
+    cli,
+    degree_histogram,
+    enumerate_matrices,
+    matrix_count,
+    run_census,
+)
+from spairs.census import cell_index, mask_words
 
 
 class TestSmallCensus:
@@ -66,6 +79,103 @@ class TestMaskWords:
         assert words.shape == (2, matrix_count(3))
         first = int(words[0, 0]) | (int(words[1, 0]) << 64)
         assert first.bit_count() == 9
+
+
+def _set_bits(bits):
+    return [p for p in range(bits.bit_length()) if bits >> p & 1]
+
+
+@pytest.fixture(scope="module")
+def index3():
+    return cell_index(mask_words(3), 3)
+
+
+class TestCellIndex:
+    # the census transposes its own mask words; sperm.cell_bitsets builds
+    # the same index from the digits of the matrix index, sharing no code
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bitsets_equal_the_digit_built_index(self, n):
+        assert cell_index(mask_words(n), n).bitsets == cell_bitsets(n)
+
+    def test_bitsets_equal_the_digit_built_index_n3(self, index3):
+        assert index3.bitsets == cell_bitsets(3)
+
+    def test_cells_follow_every_mask_n2(self):
+        index = cell_index(mask_words(2), 2)
+        assert index.width == 4
+        assert len(index.cells) == 16 * 4
+        for j, m in enumerate(enumerate_matrices(2)):
+            assert list(index.cells[4 * j:4 * j + 4]) == _set_bits(m.mask.bits)
+
+    def test_cells_follow_sampled_masks_n3(self, index3):
+        picks = set(random.Random(5).sample(range(matrix_count(3)), 64))
+        checked = 0
+        for j, m in enumerate(enumerate_matrices(3)):
+            if j in picks:
+                assert list(index3.cells[9 * j:9 * j + 9]) == _set_bits(m.mask.bits)
+                checked += 1
+        assert checked == 64
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+
+    def __init__(self, sizes, max_workers, initializer, initargs):
+        sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+class TestPool:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(census, "_POOL_INDEX", None)
+        monkeypatch.setattr(
+            census, "ProcessPoolExecutor", lambda **kw: _InlineExecutor(sizes, **kw)
+        )
+        return sizes
+
+    def test_pool_never_exceeds_the_cpus(self, sizes):
+        calls = []
+        result = run_census(2, workers=64, progress=lambda d, t: calls.append((d, t)))
+        assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
+        assert len(sizes) == 1
+        assert 1 <= sizes[0] <= min(len(os.sched_getaffinity(0)), 16)
+        assert calls[-1] == (16, 16)
+        assert degree_histogram(2, workers=64) == {7: 16}
+
+    def test_pool_never_exceeds_the_spans(self, sizes, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)))
+        assert run_census(2, workers=64).ordered_pairs == 112
+        assert run_census(1, workers=8).ordered_pairs == 0
+        assert sizes == [16, 1]
+
+
+def test_odd_partner_sum_is_an_internal_error(monkeypatch, capsys):
+    real = census._partner_counts
+
+    def one_too_many(index, i0, i1):
+        counts = real(index, i0, i1)
+        yield next(counts) + 1
+        yield from counts
+
+    monkeypatch.setattr(census, "_partner_counts", one_too_many)
+    with pytest.raises(ArithmeticError, match="odd"):
+        run_census(2)
+    assert cli.main(["count", "--n", "2", "--mode", "census"]) == 3
+    assert "internal consistency check failed" in capsys.readouterr().err
 
 
 class TestScaleAndErrors:

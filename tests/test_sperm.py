@@ -116,6 +116,33 @@ def _bitsets_agree_with_masks(n, indexed):
         assert column == m.mask.bits
 
 
+def _bits_from_cells(m):
+    n2 = m.n * m.n
+    return sum(1 << ((r - 1) * n2 + c - 1) for r, c in m.cells())
+
+
+def _bits_from_dense(m):
+    return sum(
+        1 << (r * len(row) + c)
+        for r, row in enumerate(m.to_dense())
+        for c, one in enumerate(row)
+        if one
+    )
+
+
+class TestMaskArithmetic:
+    # the mask computes its bit offsets from the permutations directly;
+    # cells() and to_dense() are the readable routes it must agree with
+
+    def test_every_mask_n2(self, matrices2):
+        for m in matrices2:
+            assert m.mask.bits == _bits_from_cells(m) == _bits_from_dense(m)
+
+    def test_sampled_masks_n3(self, sampled3):
+        for _j, m in sampled3:
+            assert m.mask.bits == _bits_from_cells(m) == _bits_from_dense(m)
+
+
 class TestCellIndex:
     # the index derives its cells from digit patterns, never from SPermMatrix
     # masks; these checks are what ties its cell convention to sperm's
