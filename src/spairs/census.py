@@ -1,12 +1,20 @@
 """Brute-force census of disjoint matrix pairs, independent of the formula.
 
-Every occupancy mask (n⁴ bits) is split into 64-bit words and stored in a
-flat uint64 array per word, in enumeration order.  The census turns that
-array on its side: one Python int per cell, with bit j set iff matrix j
-covers the cell.  Matrix i shares a cell with matrix j iff bit j is set in
-the OR of the bitsets of i's n² cells, so i's disjoint partners number N
-minus the popcount of that OR; every pair is still tested, all of one row
-at once.
+``mask_words`` encodes every matrix's occupancy mask (n⁴ bits) straight
+from its 2n block permutations and stores it as 64-bit words, word-major:
+word w of every matrix in enumeration order, then word w + 1.  The census
+turns those words on their side: one Python int per cell, with bit j set iff
+matrix j covers the cell, read byte by byte from strided slices of the
+buffer.  Each matrix's n² cells are kept in global-column order, one per
+column.  Matrix i shares a cell with matrix j iff bit j is set in the OR of
+the bitsets of i's n² cells, so i's disjoint partners number N minus the
+popcount of that OR; every pair is still tested, all of one row at once.
+
+The scan reuses shared ORs.  The first n² − n cells of a row, block columns
+1 … n − 1, do not depend on the last column permutation, so in enumeration
+order they repeat over runs of n! rows and their OR is kept while they do.
+The last n cells, block column n, take at most n!·n^n distinct values (162
+at n = 3), and the OR of each is memoized.  Both are exact in any row order.
 
 The partner counts of all rows give both results: their sum is the ordered
 pair count, which must be even and halves to the unordered one, and their
@@ -17,6 +25,7 @@ so the result is identical for any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections import Counter
@@ -24,9 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-import numpy as np
-
-from .sperm import SizeLimitError, enumerate_matrices, matrix_count
+from .sperm import SizeLimitError, SPermMatrix, enumerate_matrices, matrix_count
 
 CENSUS_CAP = 3  # n=4 would be ~6e21 pair tests
 
@@ -42,57 +49,99 @@ class CensusResult:
 
 class CellIndex(NamedTuple):
     bitsets: list[int]  # per cell: bit j set iff matrix j covers it
-    cells: bytearray  # per matrix: its cell indices, `width` bytes each
+    cells: bytes  # per matrix: its cell indices by global column, `width` bytes each
     width: int  # n², the cells of one matrix
 
 
 _POOL_INDEX: CellIndex | None = None  # per-process cell index, set by _pool_init
 
 
-def mask_words(n: int) -> np.ndarray:
-    """All occupancy masks as a (words, count) uint64 array, enumeration order."""
-    total = matrix_count(n)
-    nwords = (n ** 4 + 63) // 64
-    words = np.zeros((nwords, total), dtype=np.uint64)
-    full = (1 << 64) - 1
-    for j, a in enumerate(enumerate_matrices(n)):
-        bits = a.mask.bits
-        for w in range(nwords):
-            words[w, j] = (bits >> (64 * w)) & full
-    return words
+def mask_words(n: int) -> memoryview:
+    """All occupancy masks as a (words, count) uint64 memoryview, enumeration order.
+
+    Word w of matrix j holds bits 64w … 64w + 63 of its mask.  The words are
+    stored little-endian, word-major: row w of the view is word w of every
+    matrix.
+    """
+    n2 = n * n
+    nwords = (n2 * n2 + 63) // 64
+
+    def block_bits(s: int, t: int) -> list[list[int]]:
+        # [i][k]: the mask bit of block (s, t), 0-based, holding its 1 at
+        # within-block row i and column k, 1-based (index 0 unused), at the
+        # frozen offset (s·n + i − 1)·n² + t·n + k − 1 of SPermMatrix.mask
+        return [[1 << ((s * n + i - 1) * n2 + t * n + k - 1) if i and k else 0
+                 for k in range(n + 1)] for i in range(n + 1)]
+
+    blocks = [(s, t, block_bits(s, t)) for s in range(n) for t in range(n)]
+
+    def encode(a: SPermMatrix) -> bytes:
+        rows, cols = a.row_perms, a.col_perms
+        bits = 0
+        for s, t, at in blocks:
+            bits |= at[rows[s][t]][cols[t][s]]
+        return bits.to_bytes(8 * nwords, "little")
+
+    flat = memoryview(b"".join(map(encode, enumerate_matrices(n)))).cast("Q")
+    total = len(flat) // nwords
+    raw = b"".join(flat[w::nwords].tobytes() for w in range(nwords))
+    return memoryview(raw).cast("Q", (nwords, total))
 
 
-def cell_index(words: np.ndarray, n: int) -> CellIndex:
-    """Transpose the mask words into per-cell bitsets and per-matrix cells."""
+def cell_index(words: memoryview, n: int) -> CellIndex:
+    """Transpose the mask words into per-cell bitsets and per-matrix cells.
+
+    Cell c's bit sits in byte c % 64 // 8 of word c // 64, so one strided
+    slice of the word-major buffer holds that byte for every matrix.
+    """
     width = n * n
     total = words.shape[1]
+    raw = words.tobytes()
+    stride = 8 * total  # bytes of one word row
+    # digits[b]: byte value -> ASCII "1" if bit b is set, else "0"
+    digits = [bytes(0x31 if v >> b & 1 else 0x30 for v in range(256)) for b in range(8)]
+    bitsets = [0] * (width * width)
     cells = bytearray(total * width)
-    slots = np.frombuffer(cells, dtype=np.uint8).reshape(total, width)
-    filled = np.zeros(total, dtype=np.uint8)
-    bitsets = []
-    for c in range(width * width):
-        covers = words[c // 64] & np.uint64(1 << c % 64) != 0
-        packed = np.packbits(covers, bitorder="little")
-        bitsets.append(int.from_bytes(packed.tobytes(), "little"))
-        rows = np.flatnonzero(covers)
-        slots[rows, filled[rows]] = c
-        filled[rows] += 1
-    return CellIndex(bitsets, cells, width)
+    for col in range(width):
+        owner = 0  # byte j: the cell of matrix j in this column
+        for c in range(col, width * width, width):
+            w, b = divmod(c, 64)
+            flags = raw[w * stride + b // 8:(w + 1) * stride:8].translate(digits[b % 8])
+            bitsets[c] = int(flags[::-1], 2)
+            hits = flags.translate(bytes.maketrans(b"01", bytes((0, c))))
+            owner |= int.from_bytes(hits, "little")
+        cells[col::width] = owner.to_bytes(total, "little")
+    return CellIndex(bitsets, bytes(cells), width)
 
 
 def _partner_counts(index: CellIndex, i0: int, i1: int) -> Iterator[int]:
     """Disjoint-partner count for each matrix i in [i0, i1), over all j != i.
 
     A matrix covers its own cells, so bit i is in the OR and j = i never
-    counts.
+    counts.  The OR of a row's cells is the OR of its head (all but the
+    last block column) and its tail (the last n cells); the head's OR is
+    reused while consecutive rows share the head bytes, and each distinct
+    tail's OR is memoized.
     """
     bitsets, cells, width = index
     total = len(cells) // width
+    split = width - math.isqrt(width)
+    tails: dict[bytes, int] = {}
+    head, head_or = None, 0
     for at in range(i0 * width, i1 * width, width):
-        acc = 0
-        for c in cells[at:at + width]:
-            acc |= bitsets[c]
-        yield total - acc.bit_count()
+        cut = at + split
+        if cells[at:cut] != head:
+            head, head_or = cells[at:cut], 0
+            for c in head:
+                head_or |= bitsets[c]
+        tail = cells[cut:at + width]
+        tail_or = tails.get(tail)
+        if tail_or is None:
+            tail_or = 0
+            for c in tail:
+                tail_or |= bitsets[c]
+            tails[tail] = tail_or
+        yield total - (head_or | tail_or).bit_count()
 
 
 def _pool_init(index: CellIndex) -> None:

@@ -212,10 +212,6 @@ def cell_bitsets(n: int) -> list[int]:
     return out
 
 
-def ones_mask(a: SPermMatrix) -> OnesMask:
-    return a.mask
-
-
 def is_disjoint(a: OnesMask, b: OnesMask) -> bool:
     """True iff the two matrices share no cell holding a 1 in both."""
     if a.n != b.n:

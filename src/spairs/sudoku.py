@@ -285,7 +285,8 @@ def sample_family(n: int, seed: int, max_restarts: int = 1000) -> DisjointFamily
     give, without its waiting.  An empty candidate set is an exact dead end
     and starts a restart.  Returns the first complete family (size n²)
     found, otherwise the largest found within ``max_restarts`` attempts; the
-    result is never overlapping, and its size flags success.
+    result is never overlapping, and its size flags success.  Raises
+    ValueError unless ``max_restarts`` is at least 1.
 
     Reproducibility contract: the generator is MT19937 as exposed by
     ``random.Random(seed)``, and each step takes the candidate whose rank in
@@ -294,13 +295,15 @@ def sample_family(n: int, seed: int, max_restarts: int = 1000) -> DisjointFamily
     """
     if n > 3:
         raise SizeLimitError(f"family sampling capped at block order 3, got {n}")
+    if max_restarts < 1:
+        raise ValueError(f"max_restarts must be >= 1, got {max_restarts}")
     rng = random.Random(seed)
     want = n * n
     cells = cell_bitsets(n)
     everything = (1 << matrix_count(n)) - 1
 
     best: list[SPermMatrix] = []
-    for _ in range(max(max_restarts, 1)):
+    for _ in range(max_restarts):
         kept: list[SPermMatrix] = []
         candidates = everything
         while len(kept) < want and candidates:

@@ -71,18 +71,26 @@ class TestMaskWords:
     def test_word_layout(self):
         words = mask_words(2)
         assert words.shape == (1, 16)
-        assert len({int(w) for w in words[0]}) == 16
+        assert words.itemsize == 8
+        assert len(set(words.tolist()[0])) == 16
 
     def test_multi_word_reassembly(self):
         # 81-bit masks span two words at block order 3
         words = mask_words(3)
         assert words.shape == (2, matrix_count(3))
-        first = int(words[0, 0]) | (int(words[1, 0]) << 64)
+        low, high = words.tolist()
+        first = low[0] | (high[0] << 64)
         assert first.bit_count() == 9
+        assert first == next(enumerate_matrices(3)).mask.bits
 
 
-def _set_bits(bits):
-    return [p for p in range(bits.bit_length()) if bits >> p & 1]
+def _cells_by_column(m):
+    # a matrix's cells in global-column order: its set bits sorted by
+    # (column, row); a permutation matrix has one per column
+    n2 = m.n * m.n
+    bits = m.mask.bits
+    return sorted((p for p in range(bits.bit_length()) if bits >> p & 1),
+                  key=lambda p: (p % n2, p // n2))
 
 
 @pytest.fixture(scope="module")
@@ -106,16 +114,52 @@ class TestCellIndex:
         assert index.width == 4
         assert len(index.cells) == 16 * 4
         for j, m in enumerate(enumerate_matrices(2)):
-            assert list(index.cells[4 * j:4 * j + 4]) == _set_bits(m.mask.bits)
+            assert list(index.cells[4 * j:4 * j + 4]) == _cells_by_column(m)
 
     def test_cells_follow_sampled_masks_n3(self, index3):
         picks = set(random.Random(5).sample(range(matrix_count(3)), 64))
         checked = 0
         for j, m in enumerate(enumerate_matrices(3)):
             if j in picks:
-                assert list(index3.cells[9 * j:9 * j + 9]) == _set_bits(m.mask.bits)
+                assert list(index3.cells[9 * j:9 * j + 9]) == _cells_by_column(m)
                 checked += 1
         assert checked == 64
+
+
+def _naive_count(index, j):
+    # N minus the popcount of the OR of all n² cell bitsets of row j
+    bitsets, cells, width = index
+    acc = 0
+    for c in cells[j * width:(j + 1) * width]:
+        acc |= bitsets[c]
+    return len(cells) // width - acc.bit_count()
+
+
+class TestPartnerKernel:
+    # the scan reuses the OR of a row's head and memoizes the OR of each
+    # distinct tail; neither may change any row's count
+
+    def test_every_row_n2(self):
+        index = cell_index(mask_words(2), 2)
+        naive = [_naive_count(index, j) for j in range(16)]
+        assert list(census._partner_counts(index, 0, 16)) == naive
+
+    def test_sampled_rows_n3(self, index3):
+        total = matrix_count(3)
+        kernel = list(census._partner_counts(index3, 0, total))
+        for j in random.Random(7).sample(range(total), 64):
+            assert kernel[j] == _naive_count(index3, j)
+        # a span that starts inside a run of rows sharing one head
+        naive = [_naive_count(index3, j) for j in range(1001, 1100)]
+        assert list(census._partner_counts(index3, 1001, 1100)) == naive
+
+    def test_row_shuffled_index_n2(self):
+        index = cell_index(mask_words(2), 2)
+        rows = [index.cells[at:at + 4] for at in range(0, 64, 4)]
+        random.Random(3).shuffle(rows)
+        shuffled = census.CellIndex(index.bitsets, b"".join(rows), 4)
+        naive = [_naive_count(shuffled, j) for j in range(16)]
+        assert list(census._partner_counts(shuffled, 0, 16)) == naive
 
 
 class _InlineExecutor:

@@ -201,6 +201,15 @@ class TestSudoku:
         assert len(payload["members"]) == 4
         assert all(len(m["cells"]) == 4 for m in payload["members"])
 
+    @pytest.mark.parametrize("restarts", ["0", "-2"])
+    def test_sample_needs_one_attempt(self, capsys, restarts):
+        code, out, err = run(
+            capsys, "sudoku", "sample", "--n", "2", "--max-restarts", restarts
+        )
+        assert code == 4
+        assert out == ""
+        assert "max_restarts must be >= 1" in err
+
     def test_sample_is_reproducible(self, capsys):
         _code, first, _err = run(capsys, "sudoku", "sample", "--seed", "9")
         _code, second, _err = run(capsys, "sudoku", "sample", "--seed", "9")
@@ -277,6 +286,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["grid_count"] == "288"
+
+
+def test_numpy_is_never_imported():
+    code = (
+        "import sys, spairs, spairs.cli\n"
+        "assert spairs.cli.main(['count', '--n', '4', '--mode', 'formula']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_reproduce_script_without_order_3():

@@ -16,7 +16,6 @@ from spairs import (
     mask_is_valid,
     matrix_at,
     matrix_count,
-    ones_mask,
 )
 
 IDENTITY_2 = build_matrix(2, [(1, 2), (1, 2)], [(1, 2), (1, 2)])
@@ -232,7 +231,6 @@ def test_disjointness_is_symmetric(pa, pb):
     a = build_matrix(2, *pa)
     b = build_matrix(2, *pb)
     assert is_disjoint(a.mask, b.mask) == is_disjoint(b.mask, a.mask)
-    assert is_disjoint(ones_mask(a), ones_mask(b)) == is_disjoint(a.mask, b.mask)
 
 
 def test_transpose_preserves_disjointness_exhaustively(matrices2):

@@ -222,6 +222,11 @@ class TestSampler:
         with pytest.raises(SizeLimitError, match="capped at block order 3"):
             sample_family(4, seed=0)
 
+    @pytest.mark.parametrize("max_restarts", [0, -1])
+    def test_rejects_fewer_than_one_attempt(self, max_restarts):
+        with pytest.raises(ValueError, match="max_restarts must be >= 1"):
+            sample_family(2, seed=0, max_restarts=max_restarts)
+
 
 class TestGridIO:
     def test_round_trip(self):
