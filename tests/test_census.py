@@ -135,29 +135,46 @@ def _naive_count(index, j):
     return len(cells) // width - acc.bit_count()
 
 
+def _with_random_bitsets(index, seed):
+    # every matrix has the same partner count, so a cache that hands a row
+    # the OR of the wrong cells can still give the right count; random
+    # bitsets make each row's count depend on exactly its own cells
+    rng = random.Random(seed)
+    total = len(index.cells) // index.width
+    return index._replace(bitsets=[rng.getrandbits(total) for _ in index.bitsets])
+
+
 class TestPartnerKernel:
     # the scan reuses the OR of a row's head and memoizes the OR of each
     # distinct tail; neither may change any row's count
 
-    def test_every_row_n2(self):
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_every_row_n2(self, seed):
         index = cell_index(mask_words(2), 2)
+        if seed is not None:
+            index = _with_random_bitsets(index, seed)
         naive = [_naive_count(index, j) for j in range(16)]
         assert list(census._partner_counts(index, 0, 16)) == naive
 
-    def test_sampled_rows_n3(self, index3):
+    @pytest.mark.parametrize("seed", [None, 2])
+    def test_sampled_rows_n3(self, index3, seed):
+        index = index3 if seed is None else _with_random_bitsets(index3, seed)
         total = matrix_count(3)
-        kernel = list(census._partner_counts(index3, 0, total))
+        kernel = list(census._partner_counts(index, 0, total))
         for j in random.Random(7).sample(range(total), 64):
-            assert kernel[j] == _naive_count(index3, j)
+            assert kernel[j] == _naive_count(index, j)
         # a span that starts inside a run of rows sharing one head
-        naive = [_naive_count(index3, j) for j in range(1001, 1100)]
-        assert list(census._partner_counts(index3, 1001, 1100)) == naive
+        naive = [_naive_count(index, j) for j in range(1001, 1100)]
+        assert list(census._partner_counts(index, 1001, 1100)) == naive
 
-    def test_row_shuffled_index_n2(self):
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_row_shuffled_index_n2(self, seed):
         index = cell_index(mask_words(2), 2)
+        if seed is not None:
+            index = _with_random_bitsets(index, seed)
         rows = [index.cells[at:at + 4] for at in range(0, 64, 4)]
         random.Random(3).shuffle(rows)
-        shuffled = census.CellIndex(index.bitsets, b"".join(rows), 4)
+        shuffled = index._replace(cells=b"".join(rows))
         naive = [_naive_count(shuffled, j) for j in range(16)]
         assert list(census._partner_counts(shuffled, 0, 16)) == naive
 
