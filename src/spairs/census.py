@@ -159,15 +159,20 @@ def _even_splits(total: int, chunks: int) -> list[tuple[int, int]]:
     return [(i, min(i + step, total)) for i in range(0, total, step)]
 
 
-def _tally(
-    n: int, workers: int, progress: Callable[[int, int], None] | None
-) -> tuple[Counter, int]:
-    """Tally of the partner counts of every matrix, and the matrix count."""
+def check_census_cap(n: int) -> None:
+    """Raise SizeLimitError if a census at block order n is past the cap."""
     if n > CENSUS_CAP:
         raise SizeLimitError(
             f"census at block order {n} means ~{matrix_count(n) ** 2 // 2} "
             f"pair tests; capped at n <= {CENSUS_CAP}"
         )
+
+
+def _tally(
+    n: int, workers: int, progress: Callable[[int, int], None] | None
+) -> tuple[Counter, int]:
+    """Tally of the partner counts of every matrix, and the matrix count."""
+    check_census_cap(n)
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     words = mask_words(n)

@@ -25,7 +25,7 @@ import sys
 from typing import Any
 
 from .bigraphs import Bigraph, enumerate_catalog, format_code, to_dot
-from .census import run_census
+from .census import check_census_cap, run_census
 from .formula import (
     CONVENTIONS,
     automorphism_order,
@@ -139,6 +139,8 @@ def _cmd_count(args) -> tuple[dict, dict]:
         "workers": args.workers,
     }
     payload: dict[str, Any] = {"n": args.n, "mode": args.mode}
+    if args.mode in ("census", "both"):
+        check_census_cap(args.n)  # before any formula work
     if args.mode in ("formula", "both"):
         payload["formula"] = _formula_block(args.n, args.convention)
         if args.mode == "formula" and args.n > 3:

@@ -1,5 +1,5 @@
-from itertools import permutations
-from math import gcd
+from itertools import combinations_with_replacement, permutations
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given
@@ -7,14 +7,20 @@ from hypothesis import strategies as st
 
 from spairs import (
     Bigraph,
+    CatalogEntry,
     SizeLimitError,
+    bigraphs,
     canonical_code,
+    count_ordered,
     enumerate_catalog,
     format_code,
     from_edges,
     profile,
     to_dot,
 )
+
+# ordered disjoint pairs at block order 5, from the two catalog-free DPs
+ORDERED_5 = 143742419580577967949843749928960000000000
 
 
 def relabel(g: Bigraph, row_map, col_map) -> Bigraph:
@@ -53,6 +59,35 @@ def burnside_class_count(n: int) -> int:
     group = len(list(permutations(range(n)))) ** 2
     assert total % group == 0
     return total // group
+
+
+def min_image_buckets(n: int) -> dict[int, list[CatalogEntry]]:
+    # the catalog as the minimum-image filter built it: keep a sorted row
+    # tuple iff no column permutation re-sorts it to a smaller tuple
+    relabeled = [
+        [sum(1 << (n - 1 - p[c]) for c in range(n) if row >> (n - 1 - c) & 1)
+         for row in range(1 << n)]
+        for p in permutations(range(n))
+    ]
+    buckets = {k: [] for k in range(n * n + 1)}
+    for rows in combinations_with_replacement(range(1 << n), n):
+        images = {tuple(sorted(t[r] for r in rows)) for t in relabeled}
+        if min(images) != rows:
+            continue
+        orders = factorial(n) // prod(factorial(rows.count(r)) for r in set(rows))
+        code = 0
+        for r in rows:
+            code = (code << n) | r
+        g = Bigraph(n, code)
+        buckets[g.edge_count()].append(
+            CatalogEntry(code, profile(g), len(images) * orders)
+        )
+    return buckets
+
+
+@pytest.fixture(scope="module")
+def catalog5():
+    return enumerate_catalog(5, max_n=5)
 
 
 class TestBigraph:
@@ -136,17 +171,38 @@ class TestCatalog:
             mass = sum(e.orbit_size for _k, e in catalog.entries())
             assert mass == 1 << (catalog.n ** 2)
 
-    def test_orbit_size_divides_group_order(self, catalog3):
-        import math
+    def test_orbit_size_divides_group_order(self, catalog3, catalog4):
+        for catalog in (catalog3, catalog4):
+            group = factorial(catalog.n) ** 2
+            for _k, e in catalog.entries():
+                assert group % e.orbit_size == 0
 
-        group = math.factorial(3) ** 2
-        for _k, e in catalog3.entries():
-            assert group % e.orbit_size == 0
-
-    def test_entries_are_canonical(self, catalog2, catalog3):
-        for catalog in (catalog2, catalog3):
+    def test_entries_are_canonical(self, catalog2, catalog3, catalog4):
+        for catalog in (catalog2, catalog3, catalog4):
             for _k, e in catalog.entries():
                 assert canonical_code(Bigraph(catalog.n, e.code)) == e.code
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_orbit_marking_equals_min_image_filter(self, n):
+        assert enumerate_catalog(n).buckets == min_image_buckets(n)
+
+    @pytest.mark.parametrize(
+        "full,message", [(False, "never reached"), (True, "sum to")],
+        ids=["to-empty", "to-full"],
+    )
+    def test_walk_checks_itself(self, monkeypatch, full, message):
+        # a table that sends every row to one value is no relabeling: its
+        # image of every tuple is the empty graph, which the walk has passed
+        # already, or the complete graph, which then lands in other orbits
+        tables = bigraphs._column_tables
+
+        def with_collapse(n):
+            row = (1 << n) - 1 if full else 0
+            return tables(n) + [[row] * (1 << n)]
+
+        monkeypatch.setattr(bigraphs, "_column_tables", with_collapse)
+        with pytest.raises(ArithmeticError, match=message):
+            enumerate_catalog(3)
 
     def test_buckets_sorted_by_code(self, catalog3):
         for bucket in catalog3.buckets.values():
@@ -186,6 +242,19 @@ class TestCatalog:
     def test_orbit_sizes_match_brute_force(self, catalog3):
         for _k, e in catalog3.entries():
             assert e.orbit_size == len(brute_force_orbit(Bigraph(3, e.code)))
+
+    def test_n5_class_count_matches_burnside(self, catalog5):
+        assert sum(catalog5.sizes().values()) == burnside_class_count(5) == 5624
+
+    def test_n5_bucket_sizes(self, catalog5):
+        half = [1, 1, 3, 6, 16, 34, 69, 130, 234, 367, 527, 669, 755]
+        assert [catalog5.sizes()[k] for k in range(26)] == half + half[::-1]
+
+    def test_n5_orbit_sizes_partition_all_masks(self, catalog5):
+        assert sum(e.orbit_size for _k, e in catalog5.entries()) == 1 << 25
+
+    def test_n5_ordered_count_matches_dp(self, catalog5):
+        assert count_ordered(5, catalog5) == ORDERED_5
 
     def test_scale_cap(self):
         with pytest.raises(SizeLimitError, match="2\\^25"):

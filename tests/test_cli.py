@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spairs import cli, enumerate_catalog
+from spairs import bigraphs, cli, enumerate_catalog
 from spairs.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -72,6 +72,16 @@ class TestGraphs:
         code, _out, _err = run(capsys, "graphs", "--n", "3", "--format", "dot")
         assert code == 0
         assert calls == [3]
+
+    def test_failed_catalog_self_check_exits_3(self, capsys, monkeypatch):
+        tables = bigraphs._column_tables
+        monkeypatch.setattr(
+            bigraphs, "_column_tables", lambda n: tables(n) + [[0] * (1 << n)]
+        )
+        code, out, err = run(capsys, "graphs", "--n", "3")
+        assert code == 3
+        assert out == ""
+        assert "never reached" in err
 
     def test_scale_cap_exits_2(self, capsys):
         code, out, err = run(capsys, "graphs", "--n", "5")
@@ -141,6 +151,20 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert "capped" in err
+
+    def test_census_cap_stops_before_the_formula(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(n, **kwargs):
+            calls.append(n)
+            return enumerate_catalog(n, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_catalog", counting)
+        code, out, err = run(capsys, "count", "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert "capped at n <= 3" in err
+        assert calls == []
 
     def test_table_format(self, capsys):
         code, out, _err = run(capsys, "count", "--n", "2", "--format", "table")
