@@ -13,7 +13,7 @@ import sys
 import spairs as sp
 
 
-def show_order(n: int, workers: int) -> bool:
+def show_order(n: int) -> bool:
     catalog = sp.enumerate_catalog(n)
     print(f"== block order {n} ==")
     print(f"matrices: {sp.matrix_count(n)}")
@@ -27,7 +27,7 @@ def show_order(n: int, workers: int) -> bool:
             f"{convention} formula: ordered {sp.count_ordered(n, catalog, convention)}"
             f", unordered {sp.count_unordered(n, catalog, convention)}"
         )
-    census = sp.run_census(n, workers=workers)
+    census = sp.run_census(n)
     print(
         f"census: ordered {census.ordered_pairs}, unordered "
         f"{census.unordered_pairs}, {census.elapsed_seconds:.2f}s"
@@ -61,14 +61,13 @@ def show_order_4() -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=1, help="census workers")
     parser.add_argument(
         "--skip-order-3", action="store_true", help="skip the slow order-3 census"
     )
     args = parser.parse_args()
 
     orders = [2] if args.skip_order_3 else [2, 3]
-    ok = all([show_order(n, args.workers) for n in orders])
+    ok = all([show_order(n) for n in orders])
     show_sudoku()
     show_order_4()
     if not ok:

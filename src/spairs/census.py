@@ -18,9 +18,13 @@ at n = 3), and the OR of each is memoized.  Both are exact in any row order.
 
 The partner counts of all rows give both results: their sum is the ordered
 pair count, which must be even and halves to the unordered one, and their
-tally is the degree histogram.  With ``workers`` > 1 the rows are split
-into even spans handled by a process pool; partial tallies are exact ints,
-so the result is identical for any worker count.
+tally is the degree histogram.
+
+The process pool is library-only: no command-line option reaches it.  With
+``workers`` > 1 the rows are split into even spans handled by a
+``ProcessPoolExecutor``, imported on first use so that importing the package
+or running a serial census loads no multiprocessing code.  Partial tallies
+are exact ints, so the result is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -183,6 +186,8 @@ def _tally(
         if progress is not None:
             progress(total, total)
         return tally, total
+    from concurrent.futures import ProcessPoolExecutor
+
     # the answer does not depend on the pool size, so never fork more
     # processes than there are CPUs to run them or spans to hand out
     procs = min(workers, len(os.sched_getaffinity(0)))

@@ -121,23 +121,17 @@ def _formula_block(n: int, convention: str) -> dict[str, Any]:
     }
 
 
-def _census_block(n: int, workers: int) -> dict[str, Any]:
-    res = run_census(n, workers=workers)
+def _census_block(n: int) -> dict[str, Any]:
+    res = run_census(n)
     return {
         "ordered_pairs": str(res.ordered_pairs),
         "unordered_pairs": str(res.unordered_pairs),
         "matrices_scanned": str(res.matrices_scanned),
-        "workers": workers,
     }
 
 
 def _cmd_count(args) -> tuple[dict, dict]:
-    params = {
-        "n": args.n,
-        "mode": args.mode,
-        "convention": args.convention,
-        "workers": args.workers,
-    }
+    params = {"n": args.n, "mode": args.mode, "convention": args.convention}
     payload: dict[str, Any] = {"n": args.n, "mode": args.mode}
     if args.mode in ("census", "both"):
         check_census_cap(args.n)  # before any formula work
@@ -146,7 +140,7 @@ def _cmd_count(args) -> tuple[dict, dict]:
         if args.mode == "formula" and args.n > 3:
             payload["note"] = "unverified by census"
     if args.mode in ("census", "both"):
-        payload["census"] = _census_block(args.n, args.workers)
+        payload["census"] = _census_block(args.n)
     if args.mode == "both":
         payload["match"] = (
             payload["formula"]["ordered_pairs"] == payload["census"]["ordered_pairs"]
@@ -157,17 +151,16 @@ def _cmd_count(args) -> tuple[dict, dict]:
 
 
 def _cmd_census(args) -> tuple[dict, dict]:
-    res = run_census(args.n, workers=args.workers)
+    res = run_census(args.n)
     payload = {
         "n": res.n,
-        "workers": args.workers,
         "matrices_scanned": str(res.matrices_scanned),
         "ordered_pairs": str(res.ordered_pairs),
         "unordered_pairs": str(res.unordered_pairs),
         # measurement, not a count; the one payload field that varies by run
         "elapsed_seconds": f"{res.elapsed_seconds:.3f}",
     }
-    return {"n": args.n, "workers": args.workers}, payload
+    return {"n": args.n}, payload
 
 
 def _cmd_sudoku(args) -> tuple[dict, dict]:
@@ -261,7 +254,7 @@ def _table_count(payload: dict) -> str:
 
 def _table_census(payload: dict) -> str:
     return (
-        f"block order {payload['n']}, workers {payload['workers']}\n"
+        f"block order {payload['n']}\n"
         f"matrices scanned {payload['matrices_scanned']}\n"
         f"ordered pairs    {payload['ordered_pairs']}\n"
         f"unordered pairs  {payload['unordered_pairs']}\n"
@@ -318,13 +311,11 @@ def build_parser() -> _Parser:
         help="weight denominator: automorphism (census-verified) or "
         "twin-classes (shortcut tables; census refutes its totals)",
     )
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("census", help="brute-force pair census with timing")
     p.add_argument("--n", type=int, default=2, help="block order (cap 3)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", metavar="FILE")
 

@@ -203,8 +203,10 @@ class TestPool:
     def sizes(self, monkeypatch):
         sizes = []
         monkeypatch.setattr(census, "_POOL_INDEX", None)
+        # census imports the pool class from its package on first use
         monkeypatch.setattr(
-            census, "ProcessPoolExecutor", lambda **kw: _InlineExecutor(sizes, **kw)
+            "concurrent.futures.ProcessPoolExecutor",
+            lambda **kw: _InlineExecutor(sizes, **kw),
         )
         return sizes
 

@@ -152,6 +152,12 @@ class TestCount:
         assert out == ""
         assert "capped" in err
 
+    def test_workers_flag_is_gone(self, capsys):
+        code, out, err = run(capsys, "count", "--n", "2", "--workers", "2")
+        assert code == 4
+        assert out == ""
+        assert "--workers" in err
+
     def test_census_cap_stops_before_the_formula(self, capsys, monkeypatch):
         calls = []
 
@@ -190,7 +196,13 @@ class TestCensus:
     def test_table(self, capsys):
         code, out, _err = run(capsys, "census", "--n", "2", "--format", "table")
         assert code == 0
+        assert out.splitlines()[0] == "block order 2"
         assert "unordered pairs  56" in out
+
+    def test_workers_flag_is_gone(self, capsys):
+        code, out, _err = run(capsys, "census", "--n", "2", "--workers", "2")
+        assert code == 4
+        assert out == ""
 
     def test_cap_exits_2(self, capsys):
         code, _out, err = run(capsys, "census", "--n", "4")
@@ -313,10 +325,13 @@ def test_module_entry_point():
 
 
 def test_numpy_is_never_imported():
+    # nor is the process pool: only run_census(workers > 1) loads it
     code = (
         "import sys, spairs, spairs.cli\n"
         "assert spairs.cli.main(['count', '--n', '4', '--mode', 'formula']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "assert spairs.cli.main(['count', '--n', '2']) == 0\n"
+        "for name in ('numpy', 'concurrent.futures', 'multiprocessing'):\n"
+        "    assert name not in sys.modules, f'{name} was imported'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
