@@ -152,12 +152,6 @@ class TestCount:
         assert out == ""
         assert "capped" in err
 
-    def test_workers_flag_is_gone(self, capsys):
-        code, out, err = run(capsys, "count", "--n", "2", "--workers", "2")
-        assert code == 4
-        assert out == ""
-        assert "--workers" in err
-
     def test_census_cap_stops_before_the_formula(self, capsys, monkeypatch):
         calls = []
 
@@ -198,11 +192,6 @@ class TestCensus:
         assert code == 0
         assert out.splitlines()[0] == "block order 2"
         assert "unordered pairs  56" in out
-
-    def test_workers_flag_is_gone(self, capsys):
-        code, out, _err = run(capsys, "census", "--n", "2", "--workers", "2")
-        assert code == 4
-        assert out == ""
 
     def test_cap_exits_2(self, capsys):
         code, _out, err = run(capsys, "census", "--n", "4")
@@ -292,6 +281,13 @@ class TestParsing:
         code, _out, err = run(capsys, "count", "--n", "two")
         assert code == 4
         assert "error" in err
+
+    @pytest.mark.parametrize("command", ["count", "census"])
+    def test_workers_flag_is_gone(self, capsys, command):
+        code, out, err = run(capsys, command, "--n", "2", "--workers", "2")
+        assert code == 4
+        assert out == ""
+        assert "--workers" in err
 
     def test_unknown_command_exits_4(self, capsys):
         code, _out, _err = run(capsys, "frobnicate")
