@@ -21,10 +21,12 @@ pair count, which must be even and halves to the unordered one, and their
 tally is the degree histogram.
 
 The process pool is library-only: no command-line option reaches it.  With
-``workers`` > 1 the rows are split into even spans handled by a
-``ProcessPoolExecutor``, imported on first use so that importing the package
-or running a serial census loads no multiprocessing code.  Partial tallies
-are exact ints, so the result is identical for any worker count.
+``workers`` > 1 the rows are cut into one contiguous span per process, and
+``ProcessPoolExecutor.map`` runs the serial span tally on each, with the cell
+index passed as an argument.  The pool is imported on first use, so importing
+the package or running a serial census loads no multiprocessing code.
+Partial tallies are exact ints, so the result is identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .sperm import SizeLimitError, SPermMatrix, enumerate_matrices, matrix_count
 
@@ -54,9 +56,6 @@ class CellIndex(NamedTuple):
     bitsets: list[int]  # per cell: bit j set iff matrix j covers it
     cells: bytes  # per matrix: its cell indices by global column, `width` bytes each
     width: int  # n², the cells of one matrix
-
-
-_POOL_INDEX: CellIndex | None = None  # per-process cell index, set by _pool_init
 
 
 def mask_words(n: int) -> memoryview:
@@ -147,19 +146,9 @@ def _partner_counts(index: CellIndex, i0: int, i1: int) -> Iterator[int]:
         yield total - (head_or | tail_or).bit_count()
 
 
-def _pool_init(index: CellIndex) -> None:
-    global _POOL_INDEX
-    _POOL_INDEX = index
-
-
-def _pool_tally(span: tuple[int, int]) -> Counter:
-    assert _POOL_INDEX is not None
-    return Counter(_partner_counts(_POOL_INDEX, *span))
-
-
-def _even_splits(total: int, chunks: int) -> list[tuple[int, int]]:
-    step = -(-total // chunks)
-    return [(i, min(i + step, total)) for i in range(0, total, step)]
+def _span_tally(index: CellIndex, i0: int, i1: int) -> Counter:
+    """Tally of the partner counts of rows [i0, i1)."""
+    return Counter(_partner_counts(index, i0, i1))
 
 
 def check_census_cap(n: int) -> None:
@@ -171,9 +160,7 @@ def check_census_cap(n: int) -> None:
         )
 
 
-def _tally(
-    n: int, workers: int, progress: Callable[[int, int], None] | None
-) -> tuple[Counter, int]:
+def _tally(n: int, workers: int) -> tuple[Counter, int]:
     """Tally of the partner counts of every matrix, and the matrix count."""
     check_census_cap(n)
     if workers < 1:
@@ -182,44 +169,28 @@ def _tally(
     total = words.shape[1]
     index = cell_index(words, n)
     if workers == 1:
-        tally = Counter(_partner_counts(index, 0, total))
-        if progress is not None:
-            progress(total, total)
-        return tally, total
+        return _span_tally(index, 0, total), total
     from concurrent.futures import ProcessPoolExecutor
 
     # the answer does not depend on the pool size, so never fork more
-    # processes than there are CPUs to run them or spans to hand out
-    procs = min(workers, len(os.sched_getaffinity(0)))
-    spans = _even_splits(total, procs * 4)
-    with ProcessPoolExecutor(
-        max_workers=min(procs, len(spans)), initializer=_pool_init, initargs=(index,)
-    ) as pool:
-        tally: Counter = Counter()
-        done = 0
-        futures = [pool.submit(_pool_tally, span) for span in spans]
-        for span, fut in zip(spans, futures):
-            tally.update(fut.result())
-            done += span[1] - span[0]
-            if progress is not None:
-                progress(done, total)
+    # processes than there are CPUs to run them or rows to hand out
+    procs = min(workers, len(os.sched_getaffinity(0)), total)
+    cuts = [total * k // procs for k in range(procs + 1)]
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        tally = sum(pool.map(_span_tally, [index] * procs, cuts, cuts[1:]), Counter())
     return tally, total
 
 
-def run_census(
-    n: int,
-    workers: int = 1,
-    progress: Callable[[int, int], None] | None = None,
-) -> CensusResult:
+def run_census(n: int, workers: int = 1) -> CensusResult:
     """Count disjoint pairs over the full matrix set by cell intersection.
 
     The ordered count is the sum of every matrix's disjoint-partner count;
     raises ArithmeticError if that sum is odd, since each unordered pair
-    is counted from both ends.  ``progress``, if given, is invoked with
-    (rows done, rows total) as spans complete.
+    is counted from both ends.  With ``workers`` > 1 the rows are tallied
+    in a process pool, one contiguous span per process.
     """
     start = time.perf_counter()
-    tally, total = _tally(n, workers, progress)
+    tally, total = _tally(n, workers)
     ordered = sum(count * freq for count, freq in tally.items())
     if ordered % 2:
         raise ArithmeticError(f"partner counts at block order {n} sum to odd {ordered}")
@@ -232,5 +203,5 @@ def degree_histogram(n: int, workers: int = 1) -> dict[int, int]:
 
     The mass sum(count * frequency) equals the ordered pair count.
     """
-    tally, _total = _tally(n, workers, None)
+    tally, _total = _tally(n, workers)
     return dict(tally)

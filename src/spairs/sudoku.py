@@ -127,22 +127,23 @@ def decompose(grid: SudokuGrid) -> DisjointFamily:
 
     Member s-1 is the S-permutation matrix of the cells holding value s.
     """
-    if not validate(grid):
-        raise InvalidGridError(first_violation(grid) or "invalid grid")
+    _check_shape(grid)
+    problem = first_violation(grid)
+    if problem is not None:
+        raise InvalidGridError(problem)
     n = grid.n
-    members = []
-    for s in range(1, n * n + 1):
-        row_perms = [[0] * n for _ in range(n)]
-        col_perms = [[0] * n for _ in range(n)]
-        for r in range(n * n):
-            for c in range(n * n):
-                if grid.cells[r][c] == s:
-                    bs, i = divmod(r, n)
-                    bt, j = divmod(c, n)
-                    row_perms[bs][bt] = i + 1
-                    col_perms[bt][bs] = j + 1
-        members.append(build_matrix(n, row_perms, col_perms))
-    return DisjointFamily(n, tuple(members))
+    # layers[s - 1]: the row and column permutations of value s's matrix
+    layers = [([[0] * n for _ in range(n)], [[0] * n for _ in range(n)])
+              for _ in range(n * n)]
+    for r, row in enumerate(grid.cells):
+        bs, i = divmod(r, n)
+        for c, s in enumerate(row):
+            bt, j = divmod(c, n)
+            row_perms, col_perms = layers[s - 1]
+            row_perms[bs][bt] = i + 1
+            col_perms[bt][bs] = j + 1
+    members = tuple(build_matrix(n, rows, cols) for rows, cols in layers)
+    return DisjointFamily(n, members)
 
 
 def recompose(

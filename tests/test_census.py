@@ -1,6 +1,5 @@
 import os
 import random
-from concurrent.futures import Future
 
 import pytest
 
@@ -180,11 +179,10 @@ class TestPartnerKernel:
 
 
 class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+    """Stands in for ProcessPoolExecutor: records its size, maps inline."""
 
-    def __init__(self, sizes, max_workers, initializer, initargs):
+    def __init__(self, sizes, max_workers):
         sizes.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -192,17 +190,14 @@ class _InlineExecutor:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class TestPool:
     @pytest.fixture
     def sizes(self, monkeypatch):
         sizes = []
-        monkeypatch.setattr(census, "_POOL_INDEX", None)
         # census imports the pool class from its package on first use
         monkeypatch.setattr(
             "concurrent.futures.ProcessPoolExecutor",
@@ -211,12 +206,10 @@ class TestPool:
         return sizes
 
     def test_pool_never_exceeds_the_cpus(self, sizes):
-        calls = []
-        result = run_census(2, workers=64, progress=lambda d, t: calls.append((d, t)))
+        result = run_census(2, workers=64)
         assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
         assert len(sizes) == 1
         assert 1 <= sizes[0] <= min(len(os.sched_getaffinity(0)), 16)
-        assert calls[-1] == (16, 16)
         assert degree_histogram(2, workers=64) == {7: 16}
 
     def test_pool_never_exceeds_the_spans(self, sizes, monkeypatch):
@@ -224,6 +217,11 @@ class TestPool:
         assert run_census(2, workers=64).ordered_pairs == 112
         assert run_census(1, workers=8).ordered_pairs == 0
         assert sizes == [16, 1]
+        # 5 spans of 16 rows are uneven; every row is still tallied once
+        result = run_census(2, workers=5)
+        assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
+        assert degree_histogram(2, workers=5) == {7: 16}
+        assert sizes == [16, 1, 5, 5]
 
 
 def test_odd_partner_sum_is_an_internal_error(monkeypatch, capsys):
@@ -253,11 +251,3 @@ class TestScaleAndErrors:
     def test_bad_workers(self):
         with pytest.raises(ValueError, match="worker count"):
             run_census(2, workers=0)
-
-
-def test_progress_reporting():
-    calls = []
-    run_census(2, workers=1, progress=lambda done, total: calls.append((done, total)))
-    assert calls[-1] == (16, 16)
-    assert all(total == 16 for _done, total in calls)
-    assert [d for d, _t in calls] == sorted(d for d, _t in calls)
