@@ -20,8 +20,9 @@ The partner counts of all rows give both results: their sum is the ordered
 pair count, which must be even and halves to the unordered one, and their
 tally is the degree histogram.
 
-The process pool is library-only: no command-line option reaches it.  With
-``workers`` > 1 the rows are cut into one contiguous span per process, and
+The process pool is reached only through ``run_census(n, workers=k)``: no
+command-line option and no other function uses it.  With ``workers`` > 1 the
+rows are cut into one contiguous span per process, and
 ``ProcessPoolExecutor.map`` runs the serial span tally on each, with the cell
 index passed as an argument.  The pool is imported on first use, so importing
 the package or running a serial census loads no multiprocessing code.
@@ -198,10 +199,10 @@ def run_census(n: int, workers: int = 1) -> CensusResult:
     return CensusResult(n, ordered, ordered // 2, total, elapsed)
 
 
-def degree_histogram(n: int, workers: int = 1) -> dict[int, int]:
+def degree_histogram(n: int) -> dict[int, int]:
     """Map from disjoint-partner count to how many matrices have it.
 
     The mass sum(count * frequency) equals the ordered pair count.
     """
-    tally, _total = _tally(n, workers)
+    tally, _total = _tally(n, 1)
     return dict(tally)

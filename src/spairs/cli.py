@@ -378,6 +378,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         params, payload = _COMMANDS[args.command](args)
+        _emit(_render(args.command, args, params, payload), args.out)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -388,7 +389,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 
-    _emit(_render(args.command, args, params, payload), args.out)
     if payload.get("match") is False:
         print("error: formula and census disagree", file=sys.stderr)
         return 3

@@ -22,7 +22,10 @@ side-preserving automorphisms, the count becomes
                  * sum_{classes g, k edges} degree_factor(g) / |Aut(g)|.
 
 (The degree product legitimately stops at i = n-2: degree-n and
-degree-(n-1) vertices contribute 0! = 1! = 1.)
+degree-(n-1) vertices contribute 0! = 1! = 1.)  ``weight_table`` is the one
+place the inner sums are taken, for k = 1..n²; the k = 0 bucket holds only
+the empty graph, whose term is (n!)^(4n), and ``count_ordered`` is that plus
+(n!)^(2(n+1)) times the alternating sum of the table.
 
 Two denominator conventions are implemented, because a tempting shortcut
 exists and deserves an explicit, separately testable home:
@@ -82,11 +85,6 @@ def automorphism_order(entry: CatalogEntry, n: int) -> int:
     return order
 
 
-def automorphism_weight(entry: CatalogEntry, n: int) -> Fraction:
-    """Per-class weight with the exact denominator |Aut(g)|."""
-    return Fraction(degree_factor(entry.profile, n), automorphism_order(entry, n))
-
-
 def twin_class_weight(p: GraphProfile, n: int) -> Fraction:
     """Per-class weight dividing only by twin-class factorials.
 
@@ -105,32 +103,20 @@ def graph_weight(
 ) -> Fraction:
     """Per-class weight under either denominator convention."""
     if convention == "automorphism":
-        return automorphism_weight(entry, n)
+        return Fraction(degree_factor(entry.profile, n), automorphism_order(entry, n))
     if convention == "twin-classes":
         return twin_class_weight(entry.profile, n)
     raise ValueError(f"unknown convention {convention!r}, expected one of {CONVENTIONS}")
 
 
-def bucket_weight(
-    catalog: GraphCatalog, k: int, convention: str = "automorphism"
-) -> Fraction:
-    """Sum of class weights over the k-edge bucket, 1 <= k <= n²."""
-    n2 = catalog.n * catalog.n
-    if not 1 <= k <= n2:
-        raise ValueError(f"edge count k={k} out of range 1..{n2}")
-    return sum(
-        (graph_weight(e, catalog.n, convention) for e in catalog.buckets[k]),
-        Fraction(0),
-    )
-
-
 def weight_table(
     catalog: GraphCatalog, convention: str = "automorphism"
 ) -> dict[int, Fraction]:
-    """Bucket weight sums for k = 1..n²."""
+    """Sum of class weights over each k-edge bucket, for k = 1..n²."""
+    n = catalog.n
     return {
-        k: bucket_weight(catalog, k, convention)
-        for k in range(1, catalog.n ** 2 + 1)
+        k: sum((graph_weight(e, n, convention) for e in catalog.buckets[k]), Fraction(0))
+        for k in range(1, n * n + 1)
     }
 
 
@@ -139,7 +125,8 @@ def count_ordered(
     catalog: GraphCatalog | None = None,
     convention: str = "automorphism",
 ) -> int:
-    """Count of ordered pairs of disjoint S-permutation matrices.
+    """Count of ordered pairs of disjoint S-permutation matrices:
+    (n!)^(4n) + (n!)^(2(n+1)) · Σ_k (−1)^k · weight_table(catalog)[k].
 
     With the default convention this is the true count, confirmed against
     the exhaustive census for n = 2 and 3.  Under "twin-classes" it is the
@@ -153,10 +140,8 @@ def count_ordered(
     elif catalog.n != n:
         raise ValueError(f"catalog is for side size {catalog.n}, not {n}")
     fact = math.factorial(n)
-    tail = sum(
-        ((-1) ** k * bucket_weight(catalog, k, convention) for k in range(1, n * n + 1)),
-        Fraction(0),
-    )
+    table = weight_table(catalog, convention)
+    tail = sum(((-1) ** k * w for k, w in table.items()), Fraction(0))
     total = fact ** (4 * n) + fact ** (2 * (n + 1)) * tail
     if total.denominator != 1:
         raise ArithmeticError(

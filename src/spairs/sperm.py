@@ -10,8 +10,8 @@ bijection onto the set of S-permutation matrices, so there are exactly
 (n!)^(2n) of them and exhaustive generation needs no rejection step.
 
 Cell indexing convention, frozen once for the whole package: global
-coordinates are 1-based in the API; occupancy masks are plain integers with
-bit index (row-1)*n² + (col-1), i.e. 0-based row-major.
+coordinates are 1-based in the API; an occupancy mask (``SPermMatrix.mask``)
+is a plain int with bit index (row-1)*n² + (col-1), i.e. 0-based row-major.
 
 ``cell_bitsets`` turns the masks on their side: one integer per cell whose
 bit j says whether matrix j of the enumeration order holds a 1 there, built
@@ -43,21 +43,6 @@ def _checked_perm(p: Sequence[int], n: int, name: str, idx: int) -> Perm:
 
 
 @dataclass(frozen=True)
-class OnesMask:
-    """Occupancy bit vector of an S-permutation matrix.
-
-    ``bits`` has bit (row-1)*n² + (col-1) set for each cell holding a 1;
-    popcount is always n².
-    """
-
-    n: int
-    bits: int
-
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-
-@dataclass(frozen=True)
 class SPermMatrix:
     """One n²×n² S-permutation matrix, stored as its 2n block permutations."""
 
@@ -77,7 +62,8 @@ class SPermMatrix:
         return out
 
     @cached_property
-    def mask(self) -> OnesMask:
+    def mask(self) -> int:
+        """Occupancy bits: bit (row-1)*n² + (col-1) set per 1, n² bits in all."""
         # block (s, t), 0-based here, holds its 1 at global 0-based row
         # s*n + row_perms[s][t] - 1 and column t*n + col_perms[t][s] - 1
         n = self.n
@@ -86,7 +72,7 @@ class SPermMatrix:
         for s, row in enumerate(self.row_perms):
             for t, col in enumerate(self.col_perms):
                 bits |= 1 << ((s * n + row[t] - 1) * n2 + t * n + col[s] - 1)
-        return OnesMask(n, bits)
+        return bits
 
     def transpose(self) -> SPermMatrix:
         """Matrix transpose; swaps the roles of row and column permutations."""
@@ -212,25 +198,23 @@ def cell_bitsets(n: int) -> list[int]:
     return out
 
 
-def is_disjoint(a: OnesMask, b: OnesMask) -> bool:
+def is_disjoint(a: SPermMatrix, b: SPermMatrix) -> bool:
     """True iff the two matrices share no cell holding a 1 in both."""
     if a.n != b.n:
-        raise ValueError(f"mask block orders differ: {a.n} != {b.n}")
-    return (a.bits & b.bits) == 0
+        raise ValueError(f"block orders differ: {a.n} != {b.n}")
+    return (a.mask & b.mask) == 0
 
 
-def mask_is_valid(mask: OnesMask) -> bool:
+def mask_is_valid(n: int, bits: int) -> bool:
     """Cell-level check: exactly one 1 per row, per column, and per block.
 
-    Reads only the bit vector, never the permutation parameterization, so
-    it serves as an independent validity oracle for generated matrices.
+    Reads only the bits, never the permutation parameterization, so it
+    serves as an independent validity oracle for generated matrices.
     """
-    n = mask.n
     n2 = n * n
     rows = [0] * n2
     cols = [0] * n2
     blocks = [0] * n2
-    bits = mask.bits
     while bits:
         low = bits & -bits
         p = low.bit_length() - 1

@@ -31,7 +31,6 @@ from .sperm import (
     build_matrix,
     cell_bitsets,
     enumerate_matrices,
-    is_disjoint,
     matrix_at,
     matrix_count,
 )
@@ -69,10 +68,13 @@ class DisjointFamily:
             raise ValueError(
                 f"family of {len(self.members)} members exceeds n² = {self.n ** 2}"
             )
+        for i, m in enumerate(self.members):
+            if m.n != self.n:
+                raise ValueError(f"member {i} has block order {m.n}, not {self.n}")
         masks = [m.mask for m in self.members]
         for i in range(len(masks)):
             for j in range(i + 1, len(masks)):
-                if not is_disjoint(masks[i], masks[j]):
+                if masks[i] & masks[j]:
                     raise ValueError(f"members {i} and {j} overlap")
 
     @property
@@ -221,7 +223,7 @@ def complete_families(n: int) -> list[DisjointFamily]:
     disjointness graph, found by ordered recursive extension."""
     _refuse_scale(n, "clique enumeration")
     mats = list(enumerate_matrices(n))
-    masks = [m.mask.bits for m in mats]
+    masks = [m.mask for m in mats]
     want = n * n
     found: list[DisjointFamily] = []
 

@@ -140,12 +140,12 @@ def test_criterion_06_matrix_enumeration(acceptance_log, matrices2):
     count3 = 0
     for m in sp.enumerate_matrices(3):
         count3 += 1
-        mats3_masks.add(m.mask.bits)
-        valid3 = valid3 and sp.mask_is_valid(m.mask)
+        mats3_masks.add(m.mask)
+        valid3 = valid3 and sp.mask_is_valid(3, m.mask)
     ok = (
         len(matrices2) == 16
-        and len({m.mask.bits for m in matrices2}) == 16
-        and all(sp.mask_is_valid(m.mask) for m in matrices2)
+        and len({m.mask for m in matrices2}) == 16
+        and all(sp.mask_is_valid(2, m.mask) for m in matrices2)
         and count3 == 46656
         and len(mats3_masks) == 46656
         and valid3
@@ -235,10 +235,10 @@ def test_criterion_08_property_suite(acceptance_log, catalog2, catalog3, all_gri
 
     # disjointness is symmetric and irreflexive over the whole order-2 set
     disjoint_ok = all(
-        sp.is_disjoint(a.mask, b.mask) == sp.is_disjoint(b.mask, a.mask)
+        sp.is_disjoint(a, b) == sp.is_disjoint(b, a)
         for a in matrices2
         for b in matrices2
-    ) and not any(sp.is_disjoint(a.mask, a.mask) for a in matrices2)
+    ) and not any(sp.is_disjoint(a, a) for a in matrices2)
 
     ok = psi_ok and burnside_ok and round_trip_ok and omega_ok and disjoint_ok
     acceptance_log(

@@ -80,14 +80,14 @@ class TestMaskWords:
         low, high = words.tolist()
         first = low[0] | (high[0] << 64)
         assert first.bit_count() == 9
-        assert first == next(enumerate_matrices(3)).mask.bits
+        assert first == next(enumerate_matrices(3)).mask
 
 
 def _cells_by_column(m):
     # a matrix's cells in global-column order: its set bits sorted by
     # (column, row); a permutation matrix has one per column
     n2 = m.n * m.n
-    bits = m.mask.bits
+    bits = m.mask
     return sorted((p for p in range(bits.bit_length()) if bits >> p & 1),
                   key=lambda p: (p % n2, p // n2))
 
@@ -210,7 +210,6 @@ class TestPool:
         assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
         assert len(sizes) == 1
         assert 1 <= sizes[0] <= min(len(os.sched_getaffinity(0)), 16)
-        assert degree_histogram(2, workers=64) == {7: 16}
 
     def test_pool_never_exceeds_the_spans(self, sizes, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)))
@@ -220,8 +219,7 @@ class TestPool:
         # 5 spans of 16 rows are uneven; every row is still tallied once
         result = run_census(2, workers=5)
         assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
-        assert degree_histogram(2, workers=5) == {7: 16}
-        assert sizes == [16, 1, 5, 5]
+        assert sizes == [16, 1, 5]
 
 
 def test_odd_partner_sum_is_an_internal_error(monkeypatch, capsys):

@@ -309,6 +309,15 @@ class TestParsing:
         assert out == ""
         assert json.loads(path.read_text())["payload"]["grid_count"] == "288"
 
+    def test_unwritable_out_file_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "count", "--n", "2", "--out", str(path))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "x.json" in err
+        assert not path.exists()
+
 
 def test_module_entry_point():
     proc = subprocess.run(

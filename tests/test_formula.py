@@ -7,8 +7,6 @@ import pytest
 from spairs import (
     Bigraph,
     automorphism_order,
-    automorphism_weight,
-    bucket_weight,
     count_ordered,
     count_unordered,
     degree_factor,
@@ -89,12 +87,12 @@ class TestClassWeights:
         # a perfect matching admits the swap of both edges in sync
         m2 = find_matching(catalog2)
         assert automorphism_order(m2, 2) == 2
-        assert automorphism_weight(m2, 2) == Fraction(1, 2)
+        assert graph_weight(m2, 2) == Fraction(1, 2)
         assert twin_class_weight(m2.profile, 2) == 1
 
         m3 = find_matching(catalog3)
         assert automorphism_order(m3, 3) == 2
-        assert automorphism_weight(m3, 3) == 288
+        assert graph_weight(m3, 3) == 288
         assert twin_class_weight(m3.profile, 3) == 576
 
     def test_twin_shortcut_example(self, catalog3):
@@ -102,11 +100,11 @@ class TestClassWeights:
         e = catalog3.buckets[1][0]
         assert degree_factor(e.profile, 3) == 5184
         assert twin_class_weight(e.profile, 3) == 1296
-        assert automorphism_weight(e, 3) == 1296
+        assert graph_weight(e, 3) == 1296
 
     def test_complete_graph_weight(self, catalog3):
         e = catalog3.buckets[9][0]
-        assert automorphism_weight(e, 3) == Fraction(1, 36)
+        assert graph_weight(e, 3) == Fraction(1, 36)
         assert twin_class_weight(e.profile, 3) == Fraction(1, 36)
 
     def test_twin_group_embeds_in_automorphism_group(self, catalog2, catalog3):
@@ -120,9 +118,7 @@ class TestClassWeights:
                     twin_product *= math.factorial(size)
                 aut = automorphism_order(e, n)
                 assert aut % twin_product == 0
-                assert automorphism_weight(e, n) <= twin_class_weight(
-                    e.profile, n
-                )
+                assert graph_weight(e, n) <= twin_class_weight(e.profile, n)
 
     def test_graph_weight_dispatch(self, catalog2):
         e = find_matching(catalog2)
@@ -157,14 +153,16 @@ class TestBucketWeights:
         # give 1/(n!)²
         catalog = {2: catalog2, 3: catalog3, 4: catalog4}[n]
         expected = Fraction(1, math.factorial(n) ** 2)
-        assert bucket_weight(catalog, n * n) == expected
-        assert bucket_weight(catalog, n * n, "twin-classes") == expected
+        assert weight_table(catalog)[n * n] == expected
+        assert weight_table(catalog, "twin-classes")[n * n] == expected
 
-    def test_k_range_checked(self, catalog2):
-        with pytest.raises(ValueError, match="out of range"):
-            bucket_weight(catalog2, 0)
-        with pytest.raises(ValueError, match="out of range"):
-            bucket_weight(catalog2, 5)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_table_keys(self, n, catalog2, catalog3, catalog4):
+        # one entry per nonempty edge count; the empty graph is the
+        # (n!)^(4n) term of count_ordered, not a bucket
+        catalog = {2: catalog2, 3: catalog3, 4: catalog4}[n]
+        for convention in ("automorphism", "twin-classes"):
+            assert list(weight_table(catalog, convention)) == list(range(1, n * n + 1))
 
 
 class TestCounts:

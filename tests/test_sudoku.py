@@ -16,6 +16,7 @@ from spairs import (
     count_cliques,
     count_grids,
     decompose,
+    enumerate_matrices,
     first_violation,
     format_grid,
     iter_grids,
@@ -88,11 +89,11 @@ class TestDecomposition:
         for grid in all_grids2:
             family = decompose(grid)
             masks = [m.mask for m in family.members]
-            assert all(mask_is_valid(mk) for mk in masks)
+            assert all(mask_is_valid(2, mk) for mk in masks)
             acc = 0
             for mk in masks:
-                assert acc & mk.bits == 0
-                acc |= mk.bits
+                assert acc & mk == 0
+                acc |= mk
             assert acc == full
             assert recompose(family) == grid
 
@@ -129,6 +130,16 @@ class TestDisjointFamily:
         a = build_matrix(2, [(1, 2), (1, 2)], [(1, 2), (1, 2)])
         with pytest.raises(ValueError, match="exceeds n²"):
             DisjointFamily(2, (a,) * 5)
+
+    def test_member_of_another_order_rejected(self):
+        # a lone order-3 member has no pair to compare, so only the order
+        # check catches it before recompose indexes past the 4×4 grid
+        b = next(enumerate_matrices(3))
+        with pytest.raises(ValueError, match="member 0 has block order 3, not 2"):
+            DisjointFamily(2, (b,))
+        a = build_matrix(2, [(1, 2), (1, 2)], [(1, 2), (1, 2)])
+        with pytest.raises(ValueError, match="member 1 has block order 3, not 2"):
+            DisjointFamily(2, (a, b))
 
     def test_complete_flag(self):
         family = decompose(VALID_4)
