@@ -30,18 +30,16 @@ form a single twin class, and the two sides never share a class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 from math import factorial, prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .sperm import SizeLimitError
 
 CATALOG_CAP = 4  # n=5 builds its 5624 classes by orbit marking in about 1 s
 
 
-@dataclass(frozen=True)
-class Bigraph:
+class Bigraph(NamedTuple):
     """Biadjacency matrix packed into an integer, MSB-first row-major."""
 
     n: int
@@ -77,8 +75,7 @@ def format_code(n: int, code: int) -> str:
     return format(code, f"0{(n * n + 3) // 4}x")
 
 
-@dataclass(frozen=True)
-class GraphProfile:
+class GraphProfile(NamedTuple):
     """Degree profile and twin-class sizes of one graph.
 
     degree_counts[i] = number of vertices (both sides) of degree i, for
@@ -90,15 +87,13 @@ class GraphProfile:
     twin_class_sizes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     code: int
     profile: GraphProfile
     orbit_size: int  # labeled graphs in this class; sums to 2^(n²) per catalog
 
 
-@dataclass(frozen=True)
-class GraphCatalog:
+class GraphCatalog(NamedTuple):
     """Isomorphism-class representatives bucketed by edge count k = 0..n²."""
 
     n: int

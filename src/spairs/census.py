@@ -36,7 +36,6 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .sperm import SizeLimitError, SPermMatrix, enumerate_matrices, matrix_count
@@ -44,8 +43,7 @@ from .sperm import SizeLimitError, SPermMatrix, enumerate_matrices, matrix_count
 CENSUS_CAP = 3  # n=4 would be ~6e21 pair tests
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     n: int
     ordered_pairs: int
     unordered_pairs: int

@@ -12,6 +12,8 @@ bijection onto the set of S-permutation matrices, so there are exactly
 Cell indexing convention, frozen once for the whole package: global
 coordinates are 1-based in the API; an occupancy mask (``SPermMatrix.mask``)
 is a plain int with bit index (row-1)*n² + (col-1), i.e. 0-based row-major.
+``SPermMatrix`` is an immutable NamedTuple that stores no mask: ``mask`` is
+computed on each access, so hoist it when reading it repeatedly.
 
 ``cell_bitsets`` turns the masks on their side: one integer per cell whose
 bit j says whether matrix j of the enumeration order holds a 1 there, built
@@ -21,10 +23,8 @@ from the digits of j without any matrix object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations, product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 Perm = tuple[int, ...]  # images of 1..n, 1-based
 
@@ -42,9 +42,8 @@ def _checked_perm(p: Sequence[int], n: int, name: str, idx: int) -> Perm:
     return t
 
 
-@dataclass(frozen=True)
-class SPermMatrix:
-    """One n²×n² S-permutation matrix, stored as its 2n block permutations."""
+class SPermMatrix(NamedTuple):
+    """One n²×n² S-permutation matrix: a NamedTuple of its 2n block permutations."""
 
     n: int
     row_perms: tuple[Perm, ...]
@@ -61,9 +60,9 @@ class SPermMatrix:
                 out.append(((s - 1) * n + i, (t - 1) * n + j))
         return out
 
-    @cached_property
+    @property
     def mask(self) -> int:
-        """Occupancy bits: bit (row-1)*n² + (col-1) set per 1, n² bits in all."""
+        """Occupancy bits, computed on each access: bit (row-1)*n² + (col-1) per 1."""
         # block (s, t), 0-based here, holds its 1 at global 0-based row
         # s*n + row_perms[s][t] - 1 and column t*n + col_perms[t][s] - 1
         n = self.n
@@ -132,9 +131,9 @@ def enumerate_matrices(n: int, *, max_n: int = ENUMERATION_CAP) -> Iterator[SPer
             f"pass max_n={n} to force it"
         )
     matrix_count(n)  # range check on n
-    words = _words(n)
-    for combo in product(words, repeat=2 * n):
-        yield SPermMatrix(n, combo[:n], combo[n:])
+    halves = list(product(_words(n), repeat=n))  # every n-tuple of permutations
+    for rows, cols in product(halves, repeat=2):
+        yield SPermMatrix(n, rows, cols)
 
 
 def matrix_at(n: int, j: int) -> SPermMatrix:

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .sperm import (
     SizeLimitError,
@@ -50,32 +49,37 @@ class InvalidGridError(ValueError):
     """Well-formed grid that violates a row/column/block constraint."""
 
 
-@dataclass(frozen=True)
-class SudokuGrid:
+class SudokuGrid(NamedTuple):
     n: int
     cells: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class DisjointFamily:
-    """Pairwise-disjoint S-permutation matrices, at most n² of them."""
-
+class _FamilyFields(NamedTuple):
     n: int
     members: tuple[SPermMatrix, ...]
 
-    def __post_init__(self):
-        if len(self.members) > self.n * self.n:
+
+class DisjointFamily(_FamilyFields):
+    """Pairwise-disjoint S-permutation matrices, at most n² of them, validated
+    on construction by position or keyword (``_make`` and ``_replace`` too)."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, n: int, members: tuple[SPermMatrix, ...]) -> DisjointFamily:
+        if len(members) > n * n:
             raise ValueError(
-                f"family of {len(self.members)} members exceeds n² = {self.n ** 2}"
+                f"family of {len(members)} members exceeds n² = {n ** 2}"
             )
-        for i, m in enumerate(self.members):
-            if m.n != self.n:
-                raise ValueError(f"member {i} has block order {m.n}, not {self.n}")
-        masks = [m.mask for m in self.members]
+        for i, m in enumerate(members):
+            if m.n != n:
+                raise ValueError(f"member {i} has block order {m.n}, not {n}")
+        masks = [m.mask for m in members]
         for i in range(len(masks)):
             for j in range(i + 1, len(masks)):
                 if masks[i] & masks[j]:
                     raise ValueError(f"members {i} and {j} overlap")
+        return super().__new__(cls, n, members)
 
     @property
     def complete(self) -> bool:
@@ -173,6 +177,7 @@ def recompose(
 
 
 def _refuse_scale(n: int, what: str) -> None:
+    matrix_count(n)  # n < 1 is invalid input, not a scale cap
     if n != 2:
         raise SizeLimitError(
             f"{what} is only supported at block order 2; the 9x9 grid count "

@@ -215,6 +215,14 @@ class TestSudoku:
         assert code == 2
         assert "never recomputed" in err
 
+    @pytest.mark.parametrize("action", ["count", "cliques"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_block_order_below_1_exits_4(self, capsys, action, n):
+        code, out, err = run(capsys, "sudoku", action, "--n", n)
+        assert code == 4
+        assert out == ""
+        assert err == f"error: block order must be >= 1, got {n}\n"
+
     def test_sample(self, capsys):
         code, doc, _err = run_json(
             capsys, "sudoku", "sample", "--n", "2", "--seed", "3"
@@ -329,13 +337,15 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["payload"]["grid_count"] == "288"
 
 
-def test_numpy_is_never_imported():
-    # nor is the process pool: only run_census(workers > 1) loads it
+def test_numpy_pool_and_dataclasses_are_never_imported():
+    # the process pool loads only for run_census(workers > 1); the records
+    # are NamedTuples, so dataclasses (and its inspect/ast imports) never loads
     code = (
         "import sys, spairs, spairs.cli\n"
         "assert spairs.cli.main(['count', '--n', '4', '--mode', 'formula']) == 0\n"
         "assert spairs.cli.main(['count', '--n', '2']) == 0\n"
-        "for name in ('numpy', 'concurrent.futures', 'multiprocessing'):\n"
+        "for name in ('numpy', 'concurrent.futures', 'multiprocessing',\n"
+        "             'dataclasses'):\n"
         "    assert name not in sys.modules, f'{name} was imported'\n"
     )
     proc = subprocess.run(
