@@ -30,7 +30,6 @@ from .formula import (
     CONVENTIONS,
     automorphism_order,
     count_ordered,
-    count_unordered,
     format_rational,
     graph_weight,
     twin_class_weight,
@@ -109,10 +108,11 @@ def _cmd_graphs(args) -> tuple[dict, dict]:
 
 def _formula_block(n: int, convention: str) -> dict[str, Any]:
     catalog = enumerate_catalog(n)
+    ordered = count_ordered(n, catalog, convention)  # checked to be even
     return {
         "convention": convention,
-        "ordered_pairs": str(count_ordered(n, catalog, convention)),
-        "unordered_pairs": str(count_unordered(n, catalog, convention)),
+        "ordered_pairs": str(ordered),
+        "unordered_pairs": str(ordered // 2),
         "matrix_count": str(matrix_count(n)),
         "bucket_weights": [
             {"edges": k, "weight": format_rational(w)}
@@ -133,6 +133,7 @@ def _census_block(n: int) -> dict[str, Any]:
 def _cmd_count(args) -> tuple[dict, dict]:
     params = {"n": args.n, "mode": args.mode, "convention": args.convention}
     payload: dict[str, Any] = {"n": args.n, "mode": args.mode}
+    matrix_count(args.n)  # n < 1 is invalid input in every mode
     if args.mode in ("census", "both"):
         check_census_cap(args.n)  # before any formula work
     if args.mode in ("formula", "both"):
@@ -322,10 +323,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sudoku", help="Sudoku-matrix layer")
     action = p.add_subparsers(dest="action", required=True)
 
-    a = action.add_parser("count", help="exhaustive grid count (n=2)")
+    a = action.add_parser("count", help="exhaustive grid count (n <= 2)")
     a.add_argument("--n", type=int, default=2)
 
-    a = action.add_parser("cliques", help="complete disjoint families (n=2)")
+    a = action.add_parser("cliques", help="complete disjoint families (n <= 2)")
     a.add_argument("--n", type=int, default=2)
 
     a = action.add_parser("decompose", help="split a grid file into layers")

@@ -129,12 +129,10 @@ def count_ordered(
     (n!)^(4n) + (n!)^(2(n+1)) · Σ_k (−1)^k · weight_table(catalog)[k].
 
     With the default convention this is the true count, confirmed against
-    the exhaustive census for n = 2 and 3.  Under "twin-classes" it is the
+    the exhaustive census for n ≤ 3.  Under "twin-classes" it is the
     value the shortcut convention produces (144 at n=2), kept reproducible
-    for comparison; the census refutes it.
+    for comparison; the census refutes it.  The count is checked to be even.
     """
-    if n < 2:
-        raise ValueError(f"pair counting needs block order >= 2, got {n}")
     if catalog is None:
         catalog = enumerate_catalog(n)
     elif catalog.n != n:
@@ -149,6 +147,8 @@ def count_ordered(
         )
     if total < 0:
         raise ArithmeticError(f"negative pair count for n={n}: {total}")
+    if total % 2:
+        raise ArithmeticError(f"ordered pair count is odd for n={n}: {total}")
     return int(total)
 
 
@@ -157,11 +157,8 @@ def count_unordered(
     catalog: GraphCatalog | None = None,
     convention: str = "automorphism",
 ) -> int:
-    """Count of unordered pairs of disjoint S-permutation matrices."""
-    ordered = count_ordered(n, catalog, convention)
-    if ordered % 2:
-        raise ArithmeticError(f"ordered pair count is odd for n={n}: {ordered}")
-    return ordered // 2
+    """Unordered pairs: half of ``count_ordered``, checked there to be even."""
+    return count_ordered(n, catalog, convention) // 2
 
 
 def format_rational(q: Fraction) -> str:

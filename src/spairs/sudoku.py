@@ -13,7 +13,7 @@ and each clique yields (n²)! Sudoku matrices (one per weight ordering), so
 
     clique_count = grid_count / (n²)!
 
-Exhaustive grid counting is only feasible at n=2 (288 grids).  The 9×9
+Exhaustive grid counting is only feasible up to n=2 (288 grids).  The 9×9
 count is the Felgenhauer & Jarvis (2006) computer result, embedded below as
 a constant and never recomputed.
 """
@@ -172,17 +172,18 @@ def recompose(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive counting (n = 2 only)
+# Exhaustive counting (n <= 2 only)
 # ---------------------------------------------------------------------------
 
 
 def _refuse_scale(n: int, what: str) -> None:
     matrix_count(n)  # n < 1 is invalid input, not a scale cap
-    if n != 2:
+    if n > 2:
         raise SizeLimitError(
-            f"{what} is only supported at block order 2; the 9x9 grid count "
-            f"is ~6.671e21 (known exactly: {KNOWN_GRID_COUNTS[3]}) and is "
-            f"never recomputed"
+            f"{what} is only supported up to block order 2; the 9x9 grid "
+            f"count is ~6.671e21 (known exactly: {KNOWN_GRID_COUNTS[3]}, so "
+            f"{clique_count_from_grid_count(KNOWN_GRID_COUNTS[3], 3)} complete "
+            f"disjoint families) and is never recomputed"
         )
 
 

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 import spairs as sp
@@ -45,6 +48,25 @@ def census3_two_workers():
 @pytest.fixture(scope="session")
 def histogram3():
     return sp.degree_histogram(3)
+
+
+# ---------------------------------------------------------------------------
+# Fault injection
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def odd_weight_table(monkeypatch):
+    """Add (n!)^(-2(n+1)) to bucket 1 of every table count_ordered sums, which
+    lowers the ordered count by exactly 1: 112 becomes 111 at n = 2."""
+    table = sp.formula.weight_table
+
+    def skewed(catalog, convention="automorphism"):
+        weights = table(catalog, convention)
+        weights[1] += Fraction(1, math.factorial(catalog.n) ** (2 * (catalog.n + 1)))
+        return weights
+
+    monkeypatch.setattr(sp.formula, "weight_table", skewed)
 
 
 # ---------------------------------------------------------------------------

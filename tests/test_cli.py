@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spairs import bigraphs, cli, enumerate_catalog
+from spairs import bigraphs, cli, enumerate_catalog, formula, weight_table
 from spairs.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -166,6 +166,43 @@ class TestCount:
         assert "capped at n <= 3" in err
         assert calls == []
 
+    def test_formula_builds_the_weight_table_twice(self, capsys, monkeypatch):
+        # once inside count_ordered, once for the printed bucket weights
+        calls = []
+
+        def counting(catalog, convention="automorphism"):
+            calls.append(catalog.n)
+            return weight_table(catalog, convention)
+
+        monkeypatch.setattr(formula, "weight_table", counting)
+        monkeypatch.setattr(cli, "weight_table", counting)
+        code, _out, _err = run(capsys, "count", "--n", "2", "--mode", "formula")
+        assert code == 0
+        assert calls == [2, 2]
+
+    def test_odd_formula_count_exits_3(self, capsys, odd_weight_table):
+        code, out, err = run(capsys, "count", "--n", "2", "--mode", "formula")
+        assert code == 3
+        assert out == ""
+        assert "ordered pair count is odd for n=2: 111" in err
+
+    def test_block_order_1_matches(self, capsys):
+        code, doc, err = run_json(capsys, "count", "--n", "1")
+        assert code == 0
+        assert err == ""
+        payload = doc["payload"]
+        assert payload["match"] is True
+        assert payload["formula"]["ordered_pairs"] == "0"
+        assert payload["census"]["ordered_pairs"] == "0"
+
+    @pytest.mark.parametrize("mode", ["formula", "census", "both"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_block_order_below_1_exits_4(self, capsys, mode, n):
+        code, out, err = run(capsys, "count", "--n", n, "--mode", mode)
+        assert code == 4
+        assert out == ""
+        assert err == f"error: block order must be >= 1, got {n}\n"
+
     def test_table_format(self, capsys):
         code, out, _err = run(capsys, "count", "--n", "2", "--format", "table")
         assert code == 0
@@ -214,6 +251,22 @@ class TestSudoku:
         code, _out, err = run(capsys, "sudoku", "count", "--n", "3")
         assert code == 2
         assert "never recomputed" in err
+
+    def test_cliques_n3_quotes_the_derived_count(self, capsys):
+        # 6670903752021072936960 / 9! families, stated but not enumerated
+        code, out, err = run(capsys, "sudoku", "cliques", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "18383222420692992" in err
+
+    @pytest.mark.parametrize(
+        "action,key", [("count", "grid_count"), ("cliques", "clique_count")]
+    )
+    def test_block_order_1(self, capsys, action, key):
+        # one 1x1 grid, one family of one matrix: 1 = 1 * 1!
+        code, doc, _err = run_json(capsys, "sudoku", action, "--n", "1")
+        assert code == 0
+        assert doc["payload"][key] == "1"
 
     @pytest.mark.parametrize("action", ["count", "cliques"])
     @pytest.mark.parametrize("n", ["0", "-1"])
@@ -355,16 +408,3 @@ def test_numpy_pool_and_dataclasses_are_never_imported():
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def test_reproduce_script_without_order_3():
-    proc = subprocess.run(
-        [sys.executable, REPO / "scripts" / "reproduce_counts.py", "--skip-order-3"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert "formula (automorphism) vs census: match" in lines
-    assert "automorphism: ordered 4588496253937193582592" in lines

@@ -200,9 +200,12 @@ class TestCounts:
         # the shortcut only ever inflates
         assert ordered < shortcut
 
+    def test_odd_ordered_count_raises(self, odd_weight_table):
+        with pytest.raises(ArithmeticError, match="odd"):
+            count_ordered(2)
+
     def test_input_validation(self, catalog2):
-        with pytest.raises(ValueError, match=">= 2"):
-            count_ordered(1)
+        assert count_ordered(1) == run_census(1).ordered_pairs == 0
         with pytest.raises(ValueError, match="side size 2"):
             count_ordered(3, catalog2)
         with pytest.raises(ValueError, match="unknown convention"):
