@@ -207,11 +207,10 @@ def enumerate_catalog(n: int, *, max_n: int = CATALOG_CAP) -> GraphCatalog:
     return GraphCatalog(n, buckets)
 
 
-def to_dot(g: Bigraph, name: str | None = None) -> str:
+def to_dot(g: Bigraph) -> str:
     """GraphViz rendering with row vertices r1..rn and column vertices c1..cn."""
     n = g.n
-    label = name or f"g_{g.code_hex()}"
-    lines = [f'graph "{label}" {{', "  rankdir=LR;"]
+    lines = [f'graph "g_{g.code_hex()}" {{', "  rankdir=LR;"]
     for r in range(n):
         lines.append(f"  r{r + 1} [shape=point];")
     for c in range(n):

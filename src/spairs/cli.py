@@ -186,13 +186,8 @@ def _cmd_sudoku(args) -> tuple[dict, dict]:
             "members": _family_json(family),
         }
     # sample
-    family = sample_family(args.n, args.seed, max_restarts=args.max_restarts)
-    return {
-        "action": "sample",
-        "n": args.n,
-        "seed": args.seed,
-        "max_restarts": args.max_restarts,
-    }, {
+    family = sample_family(args.n, args.seed)
+    return {"action": "sample", "n": args.n, "seed": args.seed}, {
         "n": args.n,
         "size": len(family.members),
         "complete": family.complete,
@@ -267,7 +262,7 @@ def _table_sudoku(payload: dict) -> str:
     lines = []
     for key in ("n", "grid_count", "clique_count", "size", "complete"):
         if key in payload:
-            lines.append(f"{key} {payload[key]}")
+            lines.append(f"{key} {str(payload[key]).lower()}")
     if "members" in payload:
         for m in payload["members"]:
             cells = " ".join(f"({r},{c})" for r, c in m["cells"])
@@ -335,7 +330,6 @@ def build_parser() -> _Parser:
     a = action.add_parser("sample", help="randomized disjoint-family growth")
     a.add_argument("--n", type=int, default=2)
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--max-restarts", type=int, default=1000)
 
     for a in action.choices.values():
         a.add_argument("--format", choices=["json", "table"], default="json")

@@ -118,17 +118,16 @@ def _words(n: int) -> list[Perm]:
     return list(permutations(range(1, n + 1)))  # lexicographic
 
 
-def enumerate_matrices(n: int, *, max_n: int = ENUMERATION_CAP) -> Iterator[SPermMatrix]:
+def enumerate_matrices(n: int) -> Iterator[SPermMatrix]:
     """Yield every S-permutation matrix of block order n, exactly once.
 
     Order is lexicographic over the concatenated permutation words
-    (row_perms first, then col_perms).  Refuses n above ``max_n``; pass a
-    larger ``max_n`` explicitly to override the cap.
+    (row_perms first, then col_perms).  Refuses n above ``ENUMERATION_CAP``.
     """
-    if n > max_n:
+    if n > ENUMERATION_CAP:
         raise SizeLimitError(
             f"enumerating block order {n} means {matrix_count(n)} matrices; "
-            f"pass max_n={n} to force it"
+            f"capped at n <= {ENUMERATION_CAP}"
         )
     matrix_count(n)  # range check on n
     halves = list(product(_words(n), repeat=n))  # every n-tuple of permutations

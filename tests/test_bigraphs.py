@@ -278,5 +278,3 @@ def test_to_dot_lists_every_edge():
     assert dot.startswith('graph "g_1" {')
     assert "r2 -- c2;" in dot
     assert dot.count(" -- ") == 1
-    named = to_dot(Bigraph(2, 1), name="demo")
-    assert 'graph "demo"' in named

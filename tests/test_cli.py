@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,13 @@ class TestCount:
         assert payload["note"] == "unverified by census"
         assert payload["formula"]["ordered_pairs"] == "4588496253937193582592"
 
+    def test_n4_formula_table_ends_with_the_note(self, capsys):
+        code, out, _err = run(
+            capsys, "count", "--n", "4", "--mode", "formula", "--format", "table"
+        )
+        assert code == 0
+        assert out.endswith("\nnote: unverified by census\n")
+
     def test_n4_both_hits_census_cap(self, capsys):
         code, out, err = run(capsys, "count", "--n", "4")
         assert code == 2
@@ -185,6 +193,23 @@ class TestCount:
         assert code == 3
         assert out == ""
         assert "ordered pair count is odd for n=2: 111" in err
+
+    @pytest.mark.parametrize(
+        "odd_weight_table, message",
+        [
+            (Fraction(1, 2), "failed to clear denominators for n=2: 223/2"),
+            (128, "negative pair count for n=2: -16"),
+        ],
+        indirect=["odd_weight_table"],
+        ids=["fraction", "negative"],
+    )
+    def test_inconsistent_formula_count_exits_3(
+        self, capsys, odd_weight_table, message
+    ):
+        code, out, err = run(capsys, "count", "--n", "2", "--mode", "formula")
+        assert code == 3
+        assert out == ""
+        assert message in err
 
     def test_block_order_1_matches(self, capsys):
         code, doc, err = run_json(capsys, "count", "--n", "1")
@@ -287,14 +312,14 @@ class TestSudoku:
         assert len(payload["members"]) == 4
         assert all(len(m["cells"]) == 4 for m in payload["members"])
 
-    @pytest.mark.parametrize("restarts", ["0", "-2"])
-    def test_sample_needs_one_attempt(self, capsys, restarts):
-        code, out, err = run(
-            capsys, "sudoku", "sample", "--n", "2", "--max-restarts", restarts
+    def test_sample_table_format(self, capsys):
+        code, out, _err = run(
+            capsys, "sudoku", "sample", "--n", "2", "--format", "table"
         )
-        assert code == 4
-        assert out == ""
-        assert "max_restarts must be >= 1" in err
+        assert code == 0
+        lines = out.splitlines()
+        assert "complete true" in lines
+        assert sum(line.startswith("member ") for line in lines) == 4
 
     def test_sample_is_reproducible(self, capsys):
         _code, first, _err = run(capsys, "sudoku", "sample", "--seed", "9")
@@ -309,6 +334,21 @@ class TestSudoku:
         members = doc["payload"]["members"]
         assert [m["value"] for m in members] == [1, 2, 3, 4]
         assert members[0]["cells"][0] == [1, 1]
+
+    def test_decompose_table_format(self, capsys, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text(VALID_TEXT)
+        code, out, _err = run(
+            capsys, "sudoku", "decompose", str(path), "--format", "table"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "n 2",
+            "member 1: (1,1) (2,3) (3,2) (4,4)",
+            "member 2: (1,2) (2,4) (3,1) (4,3)",
+            "member 3: (2,1) (1,3) (4,2) (3,4)",
+            "member 4: (2,2) (1,4) (4,1) (3,3)",
+        ]
 
     def test_decompose_invalid_grid_exits_4(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -343,12 +383,20 @@ class TestParsing:
         assert code == 4
         assert "error" in err
 
-    @pytest.mark.parametrize("command", ["count", "census"])
-    def test_workers_flag_is_gone(self, capsys, command):
-        code, out, err = run(capsys, command, "--n", "2", "--workers", "2")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--n", "2", "--workers", "2"),
+            ("census", "--n", "2", "--workers", "2"),
+            ("sudoku", "sample", "--max-restarts", "5"),
+        ],
+        ids=["count", "census", "sample-max-restarts"],
+    )
+    def test_workers_flag_is_gone(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == 4
         assert out == ""
-        assert "--workers" in err
+        assert argv[-2] in err
 
     def test_unknown_command_exits_4(self, capsys):
         code, _out, _err = run(capsys, "frobnicate")

@@ -6,6 +6,7 @@ import pytest
 
 from spairs import (
     Bigraph,
+    CatalogEntry,
     automorphism_order,
     count_ordered,
     count_unordered,
@@ -101,6 +102,12 @@ class TestClassWeights:
         assert degree_factor(e.profile, 3) == 5184
         assert twin_class_weight(e.profile, 3) == 1296
         assert graph_weight(e, 3) == 1296
+
+    def test_orbit_size_must_divide_the_group(self):
+        # (2!)² = 4 labelings cannot fall into an orbit of 3
+        entry = CatalogEntry(0, profile(Bigraph(2, 0)), 3)
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            automorphism_order(entry, 2)
 
     def test_complete_graph_weight(self, catalog3):
         e = catalog3.buckets[9][0]
@@ -202,6 +209,16 @@ class TestCounts:
 
     def test_odd_ordered_count_raises(self, odd_weight_table):
         with pytest.raises(ArithmeticError, match="odd"):
+            count_ordered(2)
+
+    @pytest.mark.parametrize(
+        "odd_weight_table, message",
+        [(Fraction(1, 2), "clear denominators"), (128, "negative pair count")],
+        indirect=["odd_weight_table"],
+        ids=["fraction", "negative"],
+    )
+    def test_inconsistent_ordered_count_raises(self, odd_weight_table, message):
+        with pytest.raises(ArithmeticError, match=message):
             count_ordered(2)
 
     def test_input_validation(self, catalog2):

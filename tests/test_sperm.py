@@ -1,5 +1,5 @@
 import random
-from itertools import islice, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -92,12 +92,6 @@ class TestCounting:
     def test_cap_refuses_n4(self):
         with pytest.raises(SizeLimitError, match="110075314176"):
             list(enumerate_matrices(4))
-
-    def test_cap_override(self):
-        # the cap is advisory: max_n unlocks streaming without materializing
-        first = list(islice(enumerate_matrices(4, max_n=4), 3))
-        assert len(first) == 3
-        assert all(mask_is_valid(m.n, m.mask) for m in first)
 
 
 @pytest.fixture(scope="module")

@@ -222,21 +222,9 @@ class TestSampler:
     def test_sampled_grid_validates(self, family3):
         assert validate(recompose(family3))
 
-    def test_dead_end_without_restarts_returns_partial(self):
-        # at n=3 greedy growth can leave no matrix disjoint from the members
-        # kept; seed 0 stops at 7 members when no restart is allowed
-        family = sample_family(3, seed=0, max_restarts=1)
-        assert 0 < len(family.members) < 9
-        assert not family.complete
-
     def test_scale_cap(self):
         with pytest.raises(SizeLimitError, match="capped at block order 3"):
             sample_family(4, seed=0)
-
-    @pytest.mark.parametrize("max_restarts", [0, -1])
-    def test_rejects_fewer_than_one_attempt(self, max_restarts):
-        with pytest.raises(ValueError, match="max_restarts must be >= 1"):
-            sample_family(2, seed=0, max_restarts=max_restarts)
 
 
 class TestGridIO:
