@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple
 
 from .sperm import SizeLimitError
 
-CATALOG_CAP = 4  # n=5 builds its 5624 classes by orbit marking in about 1 s
+CATALOG_CAP = 5  # n=6 would walk C(69, 6) ~ 1.2e8 sorted row tuples
 
 
 class Bigraph(NamedTuple):
@@ -157,7 +157,7 @@ def profile(g: Bigraph) -> GraphProfile:
     return GraphProfile(tuple(degree_counts), tuple(sorted(sizes)))
 
 
-def enumerate_catalog(n: int, *, max_n: int = CATALOG_CAP) -> GraphCatalog:
+def enumerate_catalog(n: int) -> GraphCatalog:
     """Build the full catalog of isomorphism classes for side size n.
 
     Walks the sorted row tuples in ascending code order, marking orbits: a
@@ -166,15 +166,16 @@ def enumerate_catalog(n: int, *, max_n: int = CATALOG_CAP) -> GraphCatalog:
     code.  Only those tuples build their re-sorted images under the column
     permutations; every image but the tuple itself is marked, and the orbit
     is every row order of every distinct image.  Buckets are therefore
-    sorted by code.  Includes the k=0 bucket (the empty graph).
+    sorted by code.  Includes the k=0 bucket (the empty graph).  Refuses n
+    above ``CATALOG_CAP``: n = 5 (5624 classes) takes about 1 s.
 
     Raises ArithmeticError if a marked tuple is never reached or the orbit
     sizes do not sum to 2^(n²).
     """
-    if n > max_n:
+    if n > CATALOG_CAP:
         raise SizeLimitError(
             f"catalog for side size {n} covers 2^{n * n} labeled graphs; "
-            f"pass max_n={n} to force it"
+            f"capped at n <= {CATALOG_CAP}"
         )
     if n < 1:
         raise ValueError(f"side size must be >= 1, got {n}")

@@ -38,7 +38,7 @@ import time
 from collections import Counter
 from typing import Iterator, NamedTuple
 
-from .sperm import SizeLimitError, SPermMatrix, enumerate_matrices, matrix_count
+from .sperm import SizeLimitError, SPermMatrix, enumerate_matrices
 
 CENSUS_CAP = 3  # n=4 would be ~6e21 pair tests
 
@@ -154,7 +154,7 @@ def check_census_cap(n: int) -> None:
     """Raise SizeLimitError if a census at block order n is past the cap."""
     if n > CENSUS_CAP:
         raise SizeLimitError(
-            f"census at block order {n} means ~{matrix_count(n) ** 2 // 2} "
+            f"census at block order {n} means ~({n}!)^{4 * n}/2 "
             f"pair tests; capped at n <= {CENSUS_CAP}"
         )
 

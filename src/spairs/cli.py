@@ -24,8 +24,8 @@ import json
 import sys
 from typing import Any
 
-from .bigraphs import Bigraph, enumerate_catalog, format_code, to_dot
-from .census import check_census_cap, run_census
+from .bigraphs import CATALOG_CAP, Bigraph, enumerate_catalog, format_code, to_dot
+from .census import CENSUS_CAP, check_census_cap, run_census
 from .formula import (
     CONVENTIONS,
     automorphism_order,
@@ -133,12 +133,13 @@ def _census_block(n: int) -> dict[str, Any]:
 def _cmd_count(args) -> tuple[dict, dict]:
     params = {"n": args.n, "mode": args.mode, "convention": args.convention}
     payload: dict[str, Any] = {"n": args.n, "mode": args.mode}
-    matrix_count(args.n)  # n < 1 is invalid input in every mode
+    if args.n < 1:  # invalid input in every mode
+        raise ValueError(f"block order must be >= 1, got {args.n}")
     if args.mode in ("census", "both"):
         check_census_cap(args.n)  # before any formula work
     if args.mode in ("formula", "both"):
         payload["formula"] = _formula_block(args.n, args.convention)
-        if args.mode == "formula" and args.n > 3:
+        if args.mode == "formula" and args.n > CENSUS_CAP:
             payload["note"] = "unverified by census"
     if args.mode in ("census", "both"):
         payload["census"] = _census_block(args.n)
@@ -288,7 +289,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graphs", help="catalog of bipartite graph classes")
-    p.add_argument("--n", type=int, default=2, help="side size (cap 4)")
+    p.add_argument("--n", type=int, default=2, help=f"side size (cap {CATALOG_CAP})")
     p.add_argument("--format", choices=["json", "table", "dot"], default="json")
     p.add_argument("--out", metavar="FILE", help="write output to FILE")
 
@@ -311,7 +312,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("census", help="brute-force pair census with timing")
-    p.add_argument("--n", type=int, default=2, help="block order (cap 3)")
+    p.add_argument("--n", type=int, default=2, help=f"block order (cap {CENSUS_CAP})")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", metavar="FILE")
 

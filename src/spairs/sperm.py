@@ -126,7 +126,7 @@ def enumerate_matrices(n: int) -> Iterator[SPermMatrix]:
     """
     if n > ENUMERATION_CAP:
         raise SizeLimitError(
-            f"enumerating block order {n} means {matrix_count(n)} matrices; "
+            f"enumerating block order {n} means ({n}!)^{2 * n} matrices; "
             f"capped at n <= {ENUMERATION_CAP}"
         )
     matrix_count(n)  # range check on n
@@ -163,12 +163,12 @@ def cell_bitsets(n: int) -> list[int]:
     has image k at s, so a cell's bitset is the AND of those two digits'
     indicator patterns.  Capped at ``ENUMERATION_CAP``, like the enumeration.
     """
-    total = matrix_count(n)
     if n > ENUMERATION_CAP:
         raise SizeLimitError(
-            f"cell bitsets at block order {n} mean {n ** 4} sets of {total} "
-            f"bits; capped at n <= {ENUMERATION_CAP}"
+            f"cell bitsets at block order {n} mean {n ** 4} sets of "
+            f"({n}!)^{2 * n} bits; capped at n <= {ENUMERATION_CAP}"
         )
+    total = matrix_count(n)
     words = _words(n)
     radix, digits = len(words), 2 * n
 

@@ -176,7 +176,6 @@ def recompose(
 
 
 def _refuse_scale(n: int, what: str) -> None:
-    matrix_count(n)  # n < 1 is invalid input, not a scale cap
     if n > 2:
         raise SizeLimitError(
             f"{what} is only supported up to block order 2; the 9x9 grid "
@@ -184,6 +183,7 @@ def _refuse_scale(n: int, what: str) -> None:
             f"{clique_count_from_grid_count(KNOWN_GRID_COUNTS[3], 3)} complete "
             f"disjoint families) and is never recomputed"
         )
+    matrix_count(n)  # n < 1 is invalid input, not a scale cap
 
 
 def iter_grids(n: int) -> Iterator[SudokuGrid]:
@@ -291,15 +291,15 @@ def _blocked(cells: list[int], member: SPermMatrix) -> int:
 
 
 def sample_family(n: int, seed: int) -> DisjointFamily:
-    """Randomized growth of a complete disjoint family by exact draws.
+    """Randomized growth of a complete disjoint family, one uniform draw per member.
 
     Keeps the candidates, the matrices disjoint from every member kept so
     far, as one bitset over the order of ``enumerate_matrices`` (built from
-    ``cell_bitsets``).  Each step draws one uniformly and clears ``_blocked``
-    of it: the distribution a rejection loop over uniform draws would give,
-    without its waiting.  An attempt ends with no candidate left; unless its
-    n² members cover all n⁴ cells, it is a dead end and the sampler starts
-    again until the family is complete.
+    ``cell_bitsets``, which refuses n above ``ENUMERATION_CAP``).  Each step
+    draws one uniformly among them and clears ``_blocked`` of it.  The family
+    is not uniform: at n = 2, 160 of the 288 ordered families have probability
+    1/224 and 128 have 1/448.  An attempt ends with no candidate left; unless
+    its n² members cover all n⁴ cells, it starts again.
 
     That ends with probability 1: a complete family exists (the layers of any
     Sudoku grid), and each attempt draws its members in order with positive
@@ -311,8 +311,6 @@ def sample_family(n: int, seed: int) -> DisjointFamily:
     enumeration order is ``Random.randrange`` of the candidate count.  Same
     arguments, same family, on any platform.
     """
-    if n > 3:
-        raise SizeLimitError(f"family sampling capped at block order 3, got {n}")
     rng = random.Random(seed)
     cells = cell_bitsets(n)
     everything = (1 << matrix_count(n)) - 1

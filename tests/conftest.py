@@ -26,6 +26,11 @@ def catalog4():
 
 
 @pytest.fixture(scope="session")
+def catalog5():
+    return sp.enumerate_catalog(5)
+
+
+@pytest.fixture(scope="session")
 def matrices2():
     return list(sp.enumerate_matrices(2))
 

@@ -86,11 +86,6 @@ def min_image_buckets(n: int) -> dict[int, list[CatalogEntry]]:
     return buckets
 
 
-@pytest.fixture(scope="module")
-def catalog5():
-    return enumerate_catalog(5, max_n=5)
-
-
 class TestBigraph:
     def test_edges_round_trip(self):
         edges = [(0, 1), (1, 0), (2, 2)]
@@ -257,8 +252,8 @@ class TestCatalog:
         assert count_ordered(5, catalog5) == ORDERED_5
 
     def test_scale_cap(self):
-        with pytest.raises(SizeLimitError, match="2\\^25"):
-            enumerate_catalog(5)
+        with pytest.raises(SizeLimitError, match="2\\^36"):
+            enumerate_catalog(6)
         with pytest.raises(ValueError, match=">= 1"):
             enumerate_catalog(0)
 

@@ -242,6 +242,10 @@ class TestScaleAndErrors:
         with pytest.raises(SizeLimitError, match="capped at n <= 3"):
             run_census(4)
 
+    def test_census_cap_far_past_it(self):
+        with pytest.raises(SizeLimitError, match=r"~\(32!\)\^128/2"):
+            run_census(32)
+
     def test_histogram_cap(self):
         with pytest.raises(SizeLimitError):
             degree_histogram(4)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spairs import bigraphs, cli, enumerate_catalog, formula, weight_table
+from spairs import bigraphs, cli, enumerate_catalog, formula, sperm, weight_table
 from spairs.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -85,10 +85,10 @@ class TestGraphs:
         assert "never reached" in err
 
     def test_scale_cap_exits_2(self, capsys):
-        code, out, err = run(capsys, "graphs", "--n", "5")
+        code, out, err = run(capsys, "graphs", "--n", "6")
         assert code == 2
         assert out == ""
-        assert "error" in err
+        assert "capped at n <= 5" in err
 
 
 class TestCount:
@@ -163,16 +163,30 @@ class TestCount:
     def test_census_cap_stops_before_the_formula(self, capsys, monkeypatch):
         calls = []
 
-        def counting(n, **kwargs):
+        def counting(n):
             calls.append(n)
-            return enumerate_catalog(n, **kwargs)
+            return enumerate_catalog(n)
 
         monkeypatch.setattr(cli, "enumerate_catalog", counting)
-        code, out, err = run(capsys, "count", "--n", "4")
-        assert code == 2
-        assert out == ""
-        assert "capped at n <= 3" in err
-        assert calls == []
+        for n in ("4", "5"):  # the catalog would build at both
+            code, out, err = run(capsys, "count", "--n", n)
+            assert code == 2
+            assert out == ""
+            assert "capped at n <= 3" in err
+            assert calls == []
+
+    def test_n5_formula_only_flags_unverified(self, capsys, monkeypatch, catalog5):
+        monkeypatch.setattr(cli, "enumerate_catalog", lambda n: catalog5)
+        code, doc, _err = run_json(capsys, "count", "--n", "5", "--mode", "formula")
+        assert code == 0
+        payload = doc["payload"]
+        assert payload["note"] == "unverified by census"
+        assert payload["formula"]["ordered_pairs"] == (
+            "143742419580577967949843749928960000000000"
+        )
+        assert payload["formula"]["unordered_pairs"] == (
+            "71871209790288983974921874964480000000000"
+        )
 
     def test_formula_builds_the_weight_table_twice(self, capsys, monkeypatch):
         # once inside count_ordered, once for the printed bucket weights
@@ -375,6 +389,46 @@ class TestSudoku:
         )
         assert code == 0
         assert "grid_count 288" in out
+
+
+class TestScaleCaps:
+    """Every cap is one comparison of n: past it no command computes a count."""
+
+    @pytest.fixture(autouse=True)
+    def bounded_matrix_count(self, monkeypatch):
+        original = sperm.matrix_count
+
+        def bounded(n):
+            assert n <= 5, f"matrix_count({n}) computed past every cap"
+            return original(n)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "spairs" and (
+                getattr(module, "matrix_count", None) is original
+            ):
+                monkeypatch.setattr(module, "matrix_count", bounded)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--n", "1000", "--mode", "both"),
+            ("count", "--n", "1000", "--mode", "census"),
+            ("count", "--n", "1000", "--mode", "formula"),
+            ("census", "--n", "1000"),
+            ("graphs", "--n", "1000"),
+            ("sudoku", "count", "--n", "1000"),
+            ("sudoku", "cliques", "--n", "1000"),
+            ("sudoku", "sample", "--n", "1000"),
+            ("count", "--n", "32"),
+            ("census", "--n", "32"),
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2_without_computing(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "capped" in err or "only supported up to" in err
 
 
 class TestParsing:

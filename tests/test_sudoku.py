@@ -1,5 +1,8 @@
 import math
+from collections import Counter
+from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +27,7 @@ from spairs import (
     parse_grid,
     recompose,
     sample_family,
+    sudoku,
     validate,
 )
 
@@ -223,8 +227,40 @@ class TestSampler:
         assert validate(recompose(family3))
 
     def test_scale_cap(self):
-        with pytest.raises(SizeLimitError, match="capped at block order 3"):
+        with pytest.raises(SizeLimitError, match="capped at n <= 3"):
             sample_family(4, seed=0)
+
+    def test_draw_law_at_n2(self, monkeypatch):
+        # Walk every path of the draw tree by scripting randrange, and give
+        # each leaf family the product of 1/k over its draws: each member is
+        # uniform among the candidates left, but the family is not uniform.
+        class Scripted:
+            def __init__(self, script):
+                self.script, self.ks = script, []
+
+            def randrange(self, k):
+                self.ks.append(k)
+                i = len(self.ks) - 1
+                return self.script[i] if i < len(self.script) else 0
+
+        law: dict[tuple, Fraction] = {}
+        paths = [()]
+        while paths:
+            rng = Scripted(paths.pop())
+            scripted = SimpleNamespace(Random=lambda seed: rng)
+            monkeypatch.setattr(sudoku, "random", scripted)
+            members = sample_family(2, seed=0).members
+            choices = rng.script + (0,) * (len(rng.ks) - len(rng.script))
+            for i in range(len(rng.script), len(rng.ks)):
+                paths.extend(choices[:i] + (v,) for v in range(1, rng.ks[i]))
+            assert members not in law
+            law[members] = Fraction(1, math.prod(rng.ks))
+        assert sum(law.values()) == 1
+        assert Counter(law.values()) == {Fraction(1, 224): 160, Fraction(1, 448): 128}
+        cliques: Counter = Counter()
+        for members, p in law.items():
+            cliques[frozenset(members)] += p
+        assert Counter(cliques.values()) == {Fraction(5, 56): 8, Fraction(1, 14): 4}
 
 
 class TestGridIO:
