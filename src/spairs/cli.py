@@ -32,11 +32,11 @@ from .formula import (
     count_ordered,
     format_rational,
     graph_weight,
-    twin_class_weight,
     weight_table,
 )
 from .sperm import SizeLimitError, matrix_count
 from .sudoku import (
+    GRID_CAP,
     count_cliques,
     count_grids,
     decompose,
@@ -86,11 +86,9 @@ def _cmd_graphs(args) -> tuple[dict, dict]:
             "degree_counts": list(e.profile.degree_counts),
             "twin_class_sizes": list(e.profile.twin_class_sizes),
             "orbit_size": e.orbit_size,
-            "automorphism_order": automorphism_order(e, args.n),
-            "weight": format_rational(graph_weight(e, args.n)),
-            "twin_class_weight": format_rational(
-                twin_class_weight(e.profile, args.n)
-            ),
+            "automorphism_order": automorphism_order(e),
+            "weight": format_rational(graph_weight(e)),
+            "twin_class_weight": format_rational(graph_weight(e, "twin-classes")),
         }
         for k, e in catalog.entries()
     ]
@@ -201,20 +199,26 @@ def _cmd_sudoku(args) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 
+_GRAPH_COLUMNS = (
+    "edges", "code", "orbit_size", "automorphism_order", "weight", "twin_class_weight"
+)
+
+
 def _table_graphs(payload: dict) -> str:
+    graphs = payload["graphs"]
+    rows = [("edges", "code", "orbit", "aut", "weight", "twin wt")]
+    rows += [tuple(str(g[key]) for key in _GRAPH_COLUMNS) for g in graphs]
+    # each column as wide as its widest cell, never narrower than at n <= 3
+    widths = (max(w, *map(len, c)) for w, c in zip((5, 6, 5, 4, 8, 8), zip(*rows)))
+    fmt = "%{}s  %-{}s %{}s %{}s  %{}s  %{}s  ".format(*widths)
+    tails = ["profile"] + [
+        f"degrees {g['degree_counts']} twins {g['twin_class_sizes']}" for g in graphs
+    ]
     lines = [
         f"side size {payload['n']}: {payload['class_count']} classes over "
-        f"{payload['labeled_graph_count']} labeled graphs",
-        f"{'edges':>5}  {'code':<6} {'orbit':>5} {'aut':>4}  {'weight':>8}  "
-        f"{'twin wt':>8}  profile",
+        f"{payload['labeled_graph_count']} labeled graphs"
     ]
-    for g in payload["graphs"]:
-        lines.append(
-            f"{g['edges']:>5}  {g['code']:<6} {g['orbit_size']:>5} "
-            f"{g['automorphism_order']:>4}  {g['weight']:>8}  "
-            f"{g['twin_class_weight']:>8}  degrees {g['degree_counts']} "
-            f"twins {g['twin_class_sizes']}"
-        )
+    lines += [fmt % row + tail for row, tail in zip(rows, tails)]
     return "\n".join(lines) + "\n"
 
 
@@ -319,10 +323,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sudoku", help="Sudoku-matrix layer")
     action = p.add_subparsers(dest="action", required=True)
 
-    a = action.add_parser("count", help="exhaustive grid count (n <= 2)")
+    a = action.add_parser("count", help=f"exhaustive grid count (n <= {GRID_CAP})")
     a.add_argument("--n", type=int, default=2)
 
-    a = action.add_parser("cliques", help="complete disjoint families (n <= 2)")
+    a = action.add_parser(
+        "cliques", help=f"complete disjoint families (n <= {GRID_CAP})"
+    )
     a.add_argument("--n", type=int, default=2)
 
     a = action.add_parser("decompose", help="split a grid file into layers")

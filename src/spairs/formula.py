@@ -27,8 +27,10 @@ place the inner sums are taken, for k = 1..n²; the k = 0 bucket holds only
 the empty graph, whose term is (n!)^(4n), and ``count_ordered`` is that plus
 (n!)^(2(n+1)) times the alternating sum of the table.
 
-Two denominator conventions are implemented, because a tempting shortcut
-exists and deserves an explicit, separately testable home:
+``graph_weight(entry, convention)`` is the one per-class weight function:
+the numerator is always ``degree_factor``, and the convention picks only
+the denominator.  Two are implemented, because a tempting shortcut exists
+and deserves an explicit, separately testable home:
 
 * "automorphism" (the default, and the correct one): divide by |Aut(g)|,
   the order of the full side-preserving automorphism group.  This is what
@@ -57,26 +59,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bigraphs import CatalogEntry, GraphCatalog, GraphProfile, enumerate_catalog
+from .bigraphs import CatalogEntry, GraphCatalog, GraphProfile
 
 CONVENTIONS = ("automorphism", "twin-classes")
 
 
-def degree_factor(p: GraphProfile, n: int) -> int:
+def degree_factor(p: GraphProfile) -> int:
     """Numerator shared by both conventions: Π_{i=0}^{n-2} ((n-i)!)^(d_i)."""
-    if len(p.degree_counts) != n + 1:
-        raise ValueError(
-            f"profile has {len(p.degree_counts)} degree counts, expected {n + 1}"
-        )
+    n = len(p.degree_counts) - 1
     num = 1
     for i in range(n - 1):  # i = 0 .. n-2
         num *= math.factorial(n - i) ** p.degree_counts[i]
     return num
 
 
-def automorphism_order(entry: CatalogEntry, n: int) -> int:
+def automorphism_order(entry: CatalogEntry) -> int:
     """|Aut(g)| for side-preserving automorphisms: (n!)² / orbit size."""
-    group = math.factorial(n) ** 2
+    group = math.factorial(len(entry.profile.degree_counts) - 1) ** 2
     order, rem = divmod(group, entry.orbit_size)
     if rem:
         raise ArithmeticError(
@@ -85,28 +84,18 @@ def automorphism_order(entry: CatalogEntry, n: int) -> int:
     return order
 
 
-def twin_class_weight(p: GraphProfile, n: int) -> Fraction:
-    """Per-class weight dividing only by twin-class factorials.
-
-    Undercounts the symmetry of classes whose automorphisms move non-twin
-    vertices (see module docstring); kept because the resulting tables are
-    reproducible targets in their own right.
-    """
-    den = 1
-    for size in p.twin_class_sizes:
-        den *= math.factorial(size)
-    return Fraction(degree_factor(p, n), den)
-
-
-def graph_weight(
-    entry: CatalogEntry, n: int, convention: str = "automorphism"
-) -> Fraction:
-    """Per-class weight under either denominator convention."""
+def graph_weight(entry: CatalogEntry, convention: str = "automorphism") -> Fraction:
+    """Per-class weight: ``degree_factor`` over the convention's denominator,
+    |Aut(g)| or the product of twin-class factorials."""
     if convention == "automorphism":
-        return Fraction(degree_factor(entry.profile, n), automorphism_order(entry, n))
-    if convention == "twin-classes":
-        return twin_class_weight(entry.profile, n)
-    raise ValueError(f"unknown convention {convention!r}, expected one of {CONVENTIONS}")
+        den = automorphism_order(entry)
+    elif convention == "twin-classes":
+        den = math.prod(math.factorial(s) for s in entry.profile.twin_class_sizes)
+    else:
+        raise ValueError(
+            f"unknown convention {convention!r}, expected one of {CONVENTIONS}"
+        )
+    return Fraction(degree_factor(entry.profile), den)
 
 
 def weight_table(
@@ -115,15 +104,13 @@ def weight_table(
     """Sum of class weights over each k-edge bucket, for k = 1..n²."""
     n = catalog.n
     return {
-        k: sum((graph_weight(e, n, convention) for e in catalog.buckets[k]), Fraction(0))
+        k: sum((graph_weight(e, convention) for e in catalog.buckets[k]), Fraction(0))
         for k in range(1, n * n + 1)
     }
 
 
 def count_ordered(
-    n: int,
-    catalog: GraphCatalog | None = None,
-    convention: str = "automorphism",
+    n: int, catalog: GraphCatalog, convention: str = "automorphism"
 ) -> int:
     """Count of ordered pairs of disjoint S-permutation matrices:
     (n!)^(4n) + (n!)^(2(n+1)) · Σ_k (−1)^k · weight_table(catalog)[k].
@@ -133,9 +120,7 @@ def count_ordered(
     value the shortcut convention produces (144 at n=2), kept reproducible
     for comparison; the census refutes it.  The count is checked to be even.
     """
-    if catalog is None:
-        catalog = enumerate_catalog(n)
-    elif catalog.n != n:
+    if catalog.n != n:
         raise ValueError(f"catalog is for side size {catalog.n}, not {n}")
     fact = math.factorial(n)
     table = weight_table(catalog, convention)
@@ -153,9 +138,7 @@ def count_ordered(
 
 
 def count_unordered(
-    n: int,
-    catalog: GraphCatalog | None = None,
-    convention: str = "automorphism",
+    n: int, catalog: GraphCatalog, convention: str = "automorphism"
 ) -> int:
     """Unordered pairs: half of ``count_ordered``, checked there to be even."""
     return count_ordered(n, catalog, convention) // 2

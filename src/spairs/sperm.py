@@ -140,7 +140,13 @@ def matrix_at(n: int, j: int) -> SPermMatrix:
 
     Needs no enumeration: j is read as 2n digits in base n!, most
     significant first, each digit the lexicographic rank of one permutation.
+    Capped at ``ENUMERATION_CAP``, like the enumeration it indexes.
     """
+    if n > ENUMERATION_CAP:
+        raise SizeLimitError(
+            f"indexing block order {n} means ({n}!)^{2 * n} matrices; "
+            f"capped at n <= {ENUMERATION_CAP}"
+        )
     total = matrix_count(n)
     if not 0 <= j < total:
         raise IndexError(f"matrix index {j} outside 0..{total - 1}")

@@ -33,6 +33,8 @@ from .sperm import (
     matrix_count,
 )
 
+GRID_CAP = 2  # exhaustive grid and clique enumeration stop here
+
 KNOWN_GRID_COUNTS = {
     2: 288,
     # 9! * 72^2 * 2^7 * 27704267971, Felgenhauer & Jarvis (2006)
@@ -171,14 +173,14 @@ def recompose(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive counting (n <= 2 only)
+# Exhaustive counting (n <= GRID_CAP only)
 # ---------------------------------------------------------------------------
 
 
 def _refuse_scale(n: int, what: str) -> None:
-    if n > 2:
+    if n > GRID_CAP:
         raise SizeLimitError(
-            f"{what} is only supported up to block order 2; the 9x9 grid "
+            f"{what} is only supported up to block order {GRID_CAP}; the 9x9 grid "
             f"count is ~6.671e21 (known exactly: {KNOWN_GRID_COUNTS[3]}, so "
             f"{clique_count_from_grid_count(KNOWN_GRID_COUNTS[3], 3)} complete "
             f"disjoint families) and is never recomputed"

@@ -229,7 +229,7 @@ def test_criterion_08_property_suite(acceptance_log, catalog2, catalog3, all_gri
         return Fraction(num, den)
 
     omega_ok = all(
-        full_product_weight(e, 3) == sp.twin_class_weight(e.profile, 3)
+        full_product_weight(e, 3) == sp.graph_weight(e, "twin-classes")
         for _k, e in catalog3.entries()
     )
 

@@ -56,6 +56,14 @@ class TestGraphs:
         assert out.startswith("side size 2: 7 classes over 16 labeled graphs")
         assert len(out.splitlines()) == 2 + 7
 
+    def test_table_columns_widen_to_fit(self, capsys):
+        # at n = 4 weights reach 11 characters; every row stays aligned
+        code, out, _err = run(capsys, "graphs", "--n", "4", "--format", "table")
+        assert code == 0
+        rows = out.splitlines()[2:]
+        assert len(rows) == 317
+        assert len({row.index(" degrees ") for row in rows}) == 1
+
     def test_dot(self, capsys):
         code, out, _err = run(capsys, "graphs", "--n", "2", "--format", "dot")
         assert code == 0

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -11,12 +12,13 @@ from spairs import (
     count_ordered,
     count_unordered,
     degree_factor,
+    enumerate_catalog,
     format_rational,
     graph_weight,
     matrix_count,
     profile,
+    formula,
     run_census,
-    twin_class_weight,
     weight_table,
 )
 
@@ -56,15 +58,15 @@ def find_matching(catalog):
 
 class TestDegreeFactor:
     def test_empty_graph(self):
-        assert degree_factor(profile(Bigraph(2, 0)), 2) == 16
-        assert degree_factor(profile(Bigraph(3, 0)), 3) == 46656
+        assert degree_factor(profile(Bigraph(2, 0))) == 16
+        assert degree_factor(profile(Bigraph(3, 0))) == 46656
 
     def test_single_edge(self):
-        assert degree_factor(profile(Bigraph(2, 0b1000)), 2) == 4
-        assert degree_factor(profile(Bigraph(3, 1)), 3) == 5184
+        assert degree_factor(profile(Bigraph(2, 0b1000))) == 4
+        assert degree_factor(profile(Bigraph(3, 1))) == 5184
 
     def test_complete_graph_contributes_one(self):
-        assert degree_factor(profile(Bigraph(3, 511)), 3) == 1
+        assert degree_factor(profile(Bigraph(3, 511))) == 1
 
     def test_truncation_is_exact(self, catalog2, catalog3):
         # degree-n and degree-(n-1) vertices contribute 0! = 1! = 1, so the
@@ -75,11 +77,7 @@ class TestDegreeFactor:
                 full = 1
                 for i, d in enumerate(e.profile.degree_counts):
                     full *= math.factorial(n - i) ** d
-                assert degree_factor(e.profile, n) == full
-
-    def test_rejects_profile_size_mismatch(self):
-        with pytest.raises(ValueError, match="degree counts"):
-            degree_factor(profile(Bigraph(2, 0)), 3)
+                assert degree_factor(e.profile) == full
 
 
 class TestClassWeights:
@@ -87,32 +85,32 @@ class TestClassWeights:
         # the smallest class whose automorphisms move non-twin vertices:
         # a perfect matching admits the swap of both edges in sync
         m2 = find_matching(catalog2)
-        assert automorphism_order(m2, 2) == 2
-        assert graph_weight(m2, 2) == Fraction(1, 2)
-        assert twin_class_weight(m2.profile, 2) == 1
+        assert automorphism_order(m2) == 2
+        assert graph_weight(m2) == Fraction(1, 2)
+        assert graph_weight(m2, "twin-classes") == 1
 
         m3 = find_matching(catalog3)
-        assert automorphism_order(m3, 3) == 2
-        assert graph_weight(m3, 3) == 288
-        assert twin_class_weight(m3.profile, 3) == 576
+        assert automorphism_order(m3) == 2
+        assert graph_weight(m3) == 288
+        assert graph_weight(m3, "twin-classes") == 576
 
     def test_twin_shortcut_example(self, catalog3):
         # single edge at n=3: 5184 over twin denominator 2!*1!*2!*1! = 4
         e = catalog3.buckets[1][0]
-        assert degree_factor(e.profile, 3) == 5184
-        assert twin_class_weight(e.profile, 3) == 1296
-        assert graph_weight(e, 3) == 1296
+        assert degree_factor(e.profile) == 5184
+        assert graph_weight(e, "twin-classes") == 1296
+        assert graph_weight(e) == 1296
 
     def test_orbit_size_must_divide_the_group(self):
         # (2!)² = 4 labelings cannot fall into an orbit of 3
         entry = CatalogEntry(0, profile(Bigraph(2, 0)), 3)
         with pytest.raises(ArithmeticError, match="does not divide"):
-            automorphism_order(entry, 2)
+            automorphism_order(entry)
 
     def test_complete_graph_weight(self, catalog3):
         e = catalog3.buckets[9][0]
-        assert graph_weight(e, 3) == Fraction(1, 36)
-        assert twin_class_weight(e.profile, 3) == Fraction(1, 36)
+        assert graph_weight(e) == Fraction(1, 36)
+        assert graph_weight(e, "twin-classes") == Fraction(1, 36)
 
     def test_twin_group_embeds_in_automorphism_group(self, catalog2, catalog3):
         # permuting twins is always an automorphism, so the twin product
@@ -123,16 +121,27 @@ class TestClassWeights:
                 twin_product = 1
                 for size in e.profile.twin_class_sizes:
                     twin_product *= math.factorial(size)
-                aut = automorphism_order(e, n)
+                aut = automorphism_order(e)
                 assert aut % twin_product == 0
-                assert graph_weight(e, n) <= twin_class_weight(e.profile, n)
+                assert graph_weight(e) <= graph_weight(e, "twin-classes")
 
     def test_graph_weight_dispatch(self, catalog2):
         e = find_matching(catalog2)
-        assert graph_weight(e, 2) == Fraction(1, 2)
-        assert graph_weight(e, 2, "twin-classes") == 1
+        assert graph_weight(e) == Fraction(1, 2)
+        assert graph_weight(e, "twin-classes") == 1
         with pytest.raises(ValueError, match="unknown convention"):
-            graph_weight(e, 2, "orbit")
+            graph_weight(e, "orbit")
+
+
+def test_one_weight_function_sized_by_its_input():
+    # the convention picks only the denominator of the one per-class weight;
+    # a class's profile fixes its side size, and the caller builds the catalog
+    assert not hasattr(formula, "twin_class_weight")
+    assert not hasattr(formula, "enumerate_catalog")
+    for fn in (degree_factor, automorphism_order, graph_weight):
+        assert "n" not in inspect.signature(fn).parameters
+    with pytest.raises(TypeError):
+        count_ordered(2)
 
 
 class TestBucketWeights:
@@ -181,8 +190,8 @@ class TestCounts:
         assert ordered == COUNTS[convention][n]
         assert count_unordered(n, catalog, convention) == ordered // 2
 
-    def test_default_convention_is_automorphism(self):
-        assert count_ordered(2) == 112
+    def test_default_convention_is_automorphism(self, catalog2):
+        assert count_ordered(2, catalog2) == 112
 
     def test_alternating_sum_assembly(self, catalog2):
         # ordered(2) = (2!)^8 + (2!)^6 * (-w1 + w2 - w3 + w4), per convention
@@ -207,9 +216,9 @@ class TestCounts:
         # the shortcut only ever inflates
         assert ordered < shortcut
 
-    def test_odd_ordered_count_raises(self, odd_weight_table):
+    def test_odd_ordered_count_raises(self, odd_weight_table, catalog2):
         with pytest.raises(ArithmeticError, match="odd"):
-            count_ordered(2)
+            count_ordered(2, catalog2)
 
     @pytest.mark.parametrize(
         "odd_weight_table, message",
@@ -217,12 +226,15 @@ class TestCounts:
         indirect=["odd_weight_table"],
         ids=["fraction", "negative"],
     )
-    def test_inconsistent_ordered_count_raises(self, odd_weight_table, message):
+    def test_inconsistent_ordered_count_raises(
+        self, odd_weight_table, message, catalog2
+    ):
         with pytest.raises(ArithmeticError, match=message):
-            count_ordered(2)
+            count_ordered(2, catalog2)
 
     def test_input_validation(self, catalog2):
-        assert count_ordered(1) == run_census(1).ordered_pairs == 0
+        catalog1 = enumerate_catalog(1)
+        assert count_ordered(1, catalog1) == run_census(1).ordered_pairs == 0
         with pytest.raises(ValueError, match="side size 2"):
             count_ordered(3, catalog2)
         with pytest.raises(ValueError, match="unknown convention"):

@@ -15,6 +15,7 @@ from spairs import (
     mask_is_valid,
     matrix_at,
     matrix_count,
+    sperm,
 )
 
 IDENTITY_2 = build_matrix(2, [(1, 2), (1, 2)], [(1, 2), (1, 2)])
@@ -163,6 +164,19 @@ class TestCellIndex:
             matrix_at(2, 16)
         with pytest.raises(IndexError):
             matrix_at(2, -1)
+
+    def test_matrix_at_cap(self, monkeypatch):
+        # refused before any n!-sized work: no word list, no count past n = 5
+        for name in ("_words", "matrix_count"):
+            real = getattr(sperm, name)
+
+            def small_only(n, real=real):
+                assert n <= 5, "matrix_at did work before its cap check"
+                return real(n)
+
+            monkeypatch.setattr(sperm, name, small_only)
+        with pytest.raises(SizeLimitError, match="capped at n <= 3"):
+            matrix_at(200, 0)
 
     def test_bitsets_cap(self):
         with pytest.raises(SizeLimitError, match=r"\(4!\)\^8"):

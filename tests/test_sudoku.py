@@ -187,6 +187,12 @@ class TestExhaustiveCounts:
         with pytest.raises(SizeLimitError):
             next(iter_grids(3))
 
+    def test_grid_cap_is_the_refusal_threshold(self):
+        cap = sudoku.GRID_CAP
+        assert count_grids(cap) == KNOWN_GRID_COUNTS[2]
+        with pytest.raises(SizeLimitError, match=f"up to block order {cap};"):
+            count_grids(cap + 1)
+
 
 class TestKnownCounts:
     def test_9x9_constant_factorization(self):
