@@ -20,14 +20,15 @@ The partner counts of all rows give both results: their sum is the ordered
 pair count, which must be even and halves to the unordered one, and their
 tally is the degree histogram.
 
-The process pool is reached only through ``run_census(n, workers=k)``: no
-command-line option and no other function uses it.  With ``workers`` > 1 the
-rows are cut into one contiguous span per process, and
-``ProcessPoolExecutor.map`` runs the serial span tally on each, with the cell
-index passed as an argument.  The pool is imported on first use, so importing
-the package or running a serial census loads no multiprocessing code.
-Partial tallies are exact ints, so the result is identical for any worker
-count.
+Every call uses every CPU the process may run on, unless ``workers`` caps
+it.  Once the cell index is built, the rows are cut into one contiguous span
+per process and ``os.fork`` starts one child per span after the first; each
+child inherits the index copy-on-write, tallies its span with the same
+kernel and writes the tally to a pipe as decimal text.  The parent tallies
+the first span, then reads and reaps every child.  Partial tallies are exact
+ints, so the result is identical for any worker count; their frequencies
+must sum to the matrix count, so a span tallied twice or lost is an error.
+Where ``os.fork`` is missing the scan runs in one process.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ import math
 import os
 import time
 from collections import Counter
+from itertools import permutations
+from operator import getitem
 from typing import Iterator, NamedTuple
 
-from .sperm import SizeLimitError, SPermMatrix, enumerate_matrices
+from .sperm import Perm, SizeLimitError, enumerate_matrices
 
 CENSUS_CAP = 3  # n=4 would be ~6e21 pair tests
 
@@ -66,24 +69,27 @@ def mask_words(n: int) -> memoryview:
     """
     n2 = n * n
     nwords = (n2 * n2 + 63) // 64
+    perms = list(permutations(range(1, n + 1)))
 
-    def block_bits(s: int, t: int) -> list[list[int]]:
-        # [i][k]: the mask bit of block (s, t), 0-based, holding its 1 at
-        # within-block row i and column k, 1-based (index 0 unused), at the
-        # frozen offset (s·n + i − 1)·n² + t·n + k − 1 of SPermMatrix.mask
-        return [[1 << ((s * n + i - 1) * n2 + t * n + k - 1) if i and k else 0
-                 for k in range(n + 1)] for i in range(n + 1)]
+    def column_tables(rows: tuple[Perm, ...]) -> list[dict[Perm, int]]:
+        # [t][p]: the mask bits of block column t, 0-based, under column
+        # permutation p: block (s, t) holds its 1 at within-block row
+        # rows[s][t] and column p[s], 1-based, at the frozen offset
+        # (s·n + i − 1)·n² + t·n + k − 1 of SPermMatrix.mask
+        return [{p: sum(1 << ((s * n + rows[s][t] - 1) * n2 + t * n + p[s] - 1)
+                        for s in range(n))
+                 for p in perms} for t in range(n)]
 
-    blocks = [(s, t, block_bits(s, t)) for s in range(n) for t in range(n)]
-
-    def encode(a: SPermMatrix) -> bytes:
-        rows, cols = a.row_perms, a.col_perms
-        bits = 0
-        for s, t, at in blocks:
-            bits |= at[rows[s][t]][cols[t][s]]
-        return bits.to_bytes(8 * nwords, "little")
-
-    flat = memoryview(b"".join(map(encode, enumerate_matrices(n)))).cast("Q")
+    chunks = []
+    rows = tables = None
+    for a in enumerate_matrices(n):
+        if a.row_perms != rows:
+            rows = a.row_perms
+            tables = column_tables(rows)
+        # block columns hold disjoint bits, so the sum of their tables is the OR
+        bits = sum(map(getitem, tables, a.col_perms))
+        chunks.append(bits.to_bytes(8 * nwords, "little"))
+    flat = memoryview(b"".join(chunks)).cast("Q")
     total = len(flat) // nwords
     raw = b"".join(flat[w::nwords].tobytes() for w in range(nwords))
     return memoryview(raw).cast("Q", (nwords, total))
@@ -159,34 +165,106 @@ def check_census_cap(n: int) -> None:
         )
 
 
-def _tally(n: int, workers: int) -> tuple[Counter, int]:
-    """Tally of the partner counts of every matrix, and the matrix count."""
+def _fork_span(index: CellIndex, i0: int, i1: int) -> tuple[int, int]:
+    """Fork a child that tallies rows [i0, i1); return its pid and its pipe's read end.
+
+    The child writes its tally as decimal ``count freq`` pairs and leaves by
+    ``os._exit``, so it never returns into the caller's stack and never
+    flushes the stdio buffers it inherited.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            tally = _span_tally(index, i0, i1)
+            text = memoryview(" ".join(f"{c} {f}" for c, f in tally.items()).encode())
+            while text:
+                text = text[os.write(w, text):]
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    return pid, r
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _tally(n: int, workers: int | None) -> tuple[Counter, int]:
+    """Tally of the partner counts of every matrix, and the matrix count.
+
+    Rows are tallied in ``min(workers or CPUs, CPUs, rows)`` processes, one
+    contiguous span each; raises RuntimeError if a child process fails and
+    ArithmeticError if the tallies do not cover every row once.
+    """
     check_census_cap(n)
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     words = mask_words(n)
     total = words.shape[1]
     index = cell_index(words, n)
-    if workers == 1:
-        return _span_tally(index, 0, total), total
-    from concurrent.futures import ProcessPoolExecutor
-
-    # the answer does not depend on the pool size, so never fork more
+    # the answer does not depend on the process count, so never start more
     # processes than there are CPUs to run them or rows to hand out
-    procs = min(workers, len(os.sched_getaffinity(0)), total)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+    else:
+        cpus = os.cpu_count() or 1
+    procs = min(workers or cpus, cpus, total) if hasattr(os, "fork") else 1
     cuts = [total * k // procs for k in range(procs + 1)]
-    with ProcessPoolExecutor(max_workers=procs) as pool:
-        tally = sum(pool.map(_span_tally, [index] * procs, cuts, cuts[1:]), Counter())
+    children: list[tuple[int, int]] = []  # pid, read end of its pipe
+    try:
+        for i0, i1 in zip(cuts[1:], cuts[2:]):
+            children.append(_fork_span(index, i0, i1))
+        tally = _span_tally(index, 0, cuts[1])
+        texts = [_read_all(fd) for _pid, fd in children]
+    except BaseException:
+        import signal
+
+        for pid, _fd in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, fd in children:
+            os.close(fd)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (pid, _fd), status, text in zip(children, statuses, texts):
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"died by signal {-code}" if code < 0 else f"exited with code {code}"
+            raise RuntimeError(f"census child {pid} {how}")
+        fields = text.split()
+        try:
+            for count, freq in zip(fields[::2], fields[1::2], strict=True):
+                tally[int(count)] += int(freq)
+        except ValueError:
+            raise RuntimeError(f"census child {pid} sent unparseable {text[:60]!r}") from None
+    if sum(tally.values()) != total:
+        raise ArithmeticError(
+            f"partner-count tallies at block order {n} cover "
+            f"{sum(tally.values())} rows, not {total}"
+        )
     return tally, total
 
 
-def run_census(n: int, workers: int = 1) -> CensusResult:
+def run_census(n: int, workers: int | None = None) -> CensusResult:
     """Count disjoint pairs over the full matrix set by cell intersection.
 
     The ordered count is the sum of every matrix's disjoint-partner count;
     raises ArithmeticError if that sum is odd, since each unordered pair
-    is counted from both ends.  With ``workers`` > 1 the rows are tallied
-    in a process pool, one contiguous span per process.
+    is counted from both ends.  The rows are tallied on every CPU this
+    process may run on, or on at most ``workers`` processes, one contiguous
+    span each.
     """
     start = time.perf_counter()
     tally, total = _tally(n, workers)
@@ -200,7 +278,8 @@ def run_census(n: int, workers: int = 1) -> CensusResult:
 def degree_histogram(n: int) -> dict[int, int]:
     """Map from disjoint-partner count to how many matrices have it.
 
-    The mass sum(count * frequency) equals the ordered pair count.
+    The mass sum(count * frequency) equals the ordered pair count.  The rows
+    are tallied on every CPU this process may run on, as in ``run_census``.
     """
-    tally, _total = _tally(n, 1)
+    tally, _total = _tally(n, None)
     return dict(tally)

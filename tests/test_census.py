@@ -1,5 +1,8 @@
 import os
 import random
+import signal
+import time
+from collections import Counter
 
 import pytest
 
@@ -33,7 +36,7 @@ class TestSmallCensus:
 
     def test_worker_count_never_changes_the_answer(self):
         reference = run_census(2, workers=1)
-        for workers in (2, 3):
+        for workers in (2, 3, 5, 64, None):
             result = run_census(2, workers=workers)
             assert result.ordered_pairs == reference.ordered_pairs
             assert result.unordered_pairs == reference.unordered_pairs
@@ -178,56 +181,141 @@ class TestPartnerKernel:
         assert list(census._partner_counts(shuffled, 0, 16)) == naive
 
 
-class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records its size, maps inline."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-class TestPool:
+class TestFork:
     @pytest.fixture
-    def sizes(self, monkeypatch):
-        sizes = []
-        # census imports the pool class from its package on first use
-        monkeypatch.setattr(
-            "concurrent.futures.ProcessPoolExecutor",
-            lambda **kw: _InlineExecutor(sizes, **kw),
-        )
-        return sizes
+    def forks(self, monkeypatch):
+        # pids of the children forked, recorded in the parent
+        pids = []
+        fork = os.fork
 
-    def test_pool_never_exceeds_the_cpus(self, sizes):
+        def counting_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return pids
+
+    @pytest.fixture
+    def many_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)), raising=False)
+
+    def test_forks_never_exceed_the_cpus(self, forks):
         result = run_census(2, workers=64)
         assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
-        assert len(sizes) == 1
-        assert 1 <= sizes[0] <= min(len(os.sched_getaffinity(0)), 16)
+        assert len(forks) == min(len(os.sched_getaffinity(0)), 16) - 1
+        _assert_no_children()
 
-    def test_pool_never_exceeds_the_spans(self, sizes, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)))
+    def test_forks_never_exceed_the_spans(self, forks, many_cpus):
         assert run_census(2, workers=64).ordered_pairs == 112
+        assert len(forks) == 15
         assert run_census(1, workers=8).ordered_pairs == 0
-        assert sizes == [16, 1]
+        assert len(forks) == 15
         # 5 spans of 16 rows are uneven; every row is still tallied once
         result = run_census(2, workers=5)
         assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
-        assert sizes == [16, 1, 5]
+        assert len(forks) == 19
+        _assert_no_children()
+
+    def test_failing_child_raises(self, forks, many_cpus, monkeypatch):
+        real = census._span_tally
+
+        def fails_in_child(index, i0, i1):
+            if i0:
+                raise MemoryError("child")
+            return real(index, i0, i1)
+
+        monkeypatch.setattr(census, "_span_tally", fails_in_child)
+        with pytest.raises(RuntimeError, match="exited with code 1"):
+            run_census(2, workers=2)
+        assert len(forks) == 1
+        _assert_no_children()
+
+    def test_killed_child_raises(self, forks, many_cpus, monkeypatch):
+        real = census._span_tally
+
+        def killed_in_child(index, i0, i1):
+            if i0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(index, i0, i1)
+
+        monkeypatch.setattr(census, "_span_tally", killed_in_child)
+        with pytest.raises(RuntimeError, match=f"died by signal {signal.SIGKILL.value}"):
+            run_census(2, workers=2)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("sent", [{"7x": 8}, {7: "8 9"}])
+    def test_unparseable_child_output_raises(self, forks, many_cpus, monkeypatch, sent):
+        real = census._span_tally
+
+        def garbled_in_child(index, i0, i1):
+            return Counter(sent) if i0 else real(index, i0, i1)
+
+        monkeypatch.setattr(census, "_span_tally", garbled_in_child)
+        with pytest.raises(RuntimeError, match="unparseable"):
+            run_census(2, workers=2)
+        _assert_no_children()
+
+    def test_failing_parent_kills_and_reaps_its_children(self, forks, many_cpus, monkeypatch):
+        real = census._span_tally
+
+        def parent_fails_child_stalls(index, i0, i1):
+            if not i0:
+                raise MemoryError("parent")
+            time.sleep(30)
+            return real(index, i0, i1)
+
+        monkeypatch.setattr(census, "_span_tally", parent_fails_child_stalls)
+        start = time.perf_counter()
+        with pytest.raises(MemoryError, match="parent"):
+            run_census(2, workers=4)
+        assert time.perf_counter() - start < 10
+        assert len(forks) == 3
+        _assert_no_children()
+
+    def test_a_lost_row_is_an_internal_error(self, forks, many_cpus, monkeypatch):
+        real = census._partner_counts
+
+        def drops_a_row(index, i0, i1):
+            counts = real(index, i0, i1)
+            if i0 == 0:
+                next(counts)
+            yield from counts
+
+        monkeypatch.setattr(census, "_partner_counts", drops_a_row)
+        with pytest.raises(ArithmeticError, match="cover 15 rows, not 16"):
+            run_census(2, workers=2)
+        _assert_no_children()
+
+    def test_cpu_count_without_affinity(self, forks, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        result = run_census(2)
+        assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
+        assert len(forks) == 3
+        _assert_no_children()
+
+    def test_serial_without_fork(self, many_cpus, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        result = run_census(2, workers=64)
+        assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
+        assert degree_histogram(2) == {7: 16}
 
 
 def test_odd_partner_sum_is_an_internal_error(monkeypatch, capsys):
     real = census._partner_counts
 
     def one_too_many(index, i0, i1):
+        # once, at global row 0, whichever process tallies that span
         counts = real(index, i0, i1)
-        yield next(counts) + 1
+        if i0 == 0:
+            yield next(counts) + 1
         yield from counts
 
     monkeypatch.setattr(census, "_partner_counts", one_too_many)

@@ -501,8 +501,8 @@ def test_module_entry_point():
 
 
 def test_numpy_pool_and_dataclasses_are_never_imported():
-    # the process pool loads only for run_census(workers > 1); the records
-    # are NamedTuples, so dataclasses (and its inspect/ast imports) never loads
+    # the census forks with os.fork and loads no pool; the records are
+    # NamedTuples, so dataclasses (and its inspect/ast imports) never loads
     code = (
         "import sys, spairs, spairs.cli\n"
         "assert spairs.cli.main(['count', '--n', '4', '--mode', 'formula']) == 0\n"
