@@ -1,14 +1,17 @@
 """Brute-force census of disjoint matrix pairs, independent of the formula.
 
-``mask_words`` encodes every matrix's occupancy mask (n⁴ bits) straight
-from its 2n block permutations and stores it as 64-bit words, word-major:
-word w of every matrix in enumeration order, then word w + 1.  The census
-turns those words on their side: one Python int per cell, with bit j set iff
-matrix j covers the cell, read byte by byte from strided slices of the
-buffer.  Each matrix's n² cells are kept in global-column order, one per
-column.  Matrix i shares a cell with matrix j iff bit j is set in the OR of
-the bitsets of i's n² cells, so i's disjoint partners number N minus the
-popcount of that OR; every pair is still tested, all of one row at once.
+``mask_words`` reads each matrix's 2n block permutations and writes, as one
+byte, the cell it holds in each global column: row g of the (n², N) byte view
+is column g's cell for every matrix, in enumeration order.  In a run of
+matrices that share ``row_perms``, the n cells of block column t depend only
+on column t of ``row_perms`` and on ``col_perms[t]``, so one cached table per
+such pair maps a column permutation to those n bytes, and C-level ``map`` and
+``join`` do the per-matrix work.  ``cell_index`` reads one Python int per cell
+off its column's row, with bit j set iff matrix j covers the cell, and
+interleaves the rows into each matrix's n² cells in global-column order.
+Matrix i shares a cell with matrix j iff bit j is set in the OR of the
+bitsets of i's n² cells, so i's disjoint partners number N minus the popcount
+of that OR; every pair is still tested, all of one row at once.
 
 The scan reuses shared ORs.  The first n² − n cells of a row, block columns
 1 … n − 1, do not depend on the last column permutation, so in enumeration
@@ -28,17 +31,20 @@ kernel and writes the tally to a pipe as decimal text.  The parent tallies
 the first span, then reads and reaps every child.  Partial tallies are exact
 ints, so the result is identical for any worker count; their frequencies
 must sum to the matrix count, so a span tallied twice or lost is an error.
-Where ``os.fork`` is missing the scan runs in one process.
+Where ``os.fork`` is missing, or another thread is alive, the scan runs in
+one process.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from collections import Counter
-from itertools import permutations
-from operator import getitem
+from functools import cache
+from itertools import groupby, permutations
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .sperm import Perm, SizeLimitError, enumerate_matrices
@@ -61,63 +67,51 @@ class CellIndex(NamedTuple):
 
 
 def mask_words(n: int) -> memoryview:
-    """All occupancy masks as a (words, count) uint64 memoryview, enumeration order.
+    """Every matrix's cells as an (n², count) uint8 memoryview, enumeration order.
 
-    Word w of matrix j holds bits 64w … 64w + 63 of its mask.  The words are
-    stored little-endian, word-major: row w of the view is word w of every
-    matrix.
+    Byte j of row g is the cell that matrix j holds in global column g.  The
+    benchmark wraps this function by name, so the name stays until the
+    program emits its own spans (ROADMAP item 5).
     """
     n2 = n * n
-    nwords = (n2 * n2 + 63) // 64
     perms = list(permutations(range(1, n + 1)))
 
-    def column_tables(rows: tuple[Perm, ...]) -> list[dict[Perm, int]]:
-        # [t][p]: the mask bits of block column t, 0-based, under column
-        # permutation p: block (s, t) holds its 1 at within-block row
-        # rows[s][t] and column p[s], 1-based, at the frozen offset
-        # (s·n + i − 1)·n² + t·n + k − 1 of SPermMatrix.mask
-        return [{p: sum(1 << ((s * n + rows[s][t] - 1) * n2 + t * n + p[s] - 1)
-                        for s in range(n))
-                 for p in perms} for t in range(n)]
+    @cache
+    def column_table(t: int, block_rows: tuple[int, ...]) -> dict[Perm, bytes]:
+        # p -> the cells of block column t, 0-based, under column permutation
+        # p: block (s, t) holds its 1 at global row s·n + block_rows[s] − 1 and
+        # global column t·n + p[s] − 1, as in SPermMatrix.mask; by column
+        return {p: bytes((s * n + block_rows[s] - 1) * n2 + t * n + p[s] - 1
+                         for s in sorted(range(n), key=p.__getitem__))
+                for p in perms}
 
-    chunks = []
-    rows = tables = None
-    for a in enumerate_matrices(n):
-        if a.row_perms != rows:
-            rows = a.row_perms
-            tables = column_tables(rows)
-        # block columns hold disjoint bits, so the sum of their tables is the OR
-        bits = sum(map(getitem, tables, a.col_perms))
-        chunks.append(bits.to_bytes(8 * nwords, "little"))
-    flat = memoryview(b"".join(chunks)).cast("Q")
-    total = len(flat) // nwords
-    raw = b"".join(flat[w::nwords].tobytes() for w in range(nwords))
-    return memoryview(raw).cast("Q", (nwords, total))
+    chunks: list[list[bytes]] = [[] for _ in range(n)]  # per block column t
+    for rows, group in groupby(enumerate_matrices(n), attrgetter("row_perms")):
+        for t, cols in enumerate(zip(*map(attrgetter("col_perms"), group))):
+            table = column_table(t, tuple(row[t] for row in rows))
+            chunks[t].append(b"".join(map(table.__getitem__, cols)))
+    streams = [b"".join(chunk) for chunk in chunks]  # n bytes per matrix each
+    raw = b"".join(stream[k::n] for stream in streams for k in range(n))
+    return memoryview(raw).cast("B", (n2, len(raw) // n2))
 
 
-def cell_index(words: memoryview, n: int) -> CellIndex:
-    """Transpose the mask words into per-cell bitsets and per-matrix cells.
+def cell_index(columns: memoryview) -> CellIndex:
+    """Per-cell bitsets and per-matrix cells from the column rows of ``mask_words``.
 
-    Cell c's bit sits in byte c % 64 // 8 of word c // 64, so one strided
-    slice of the word-major buffer holds that byte for every matrix.
+    Cell c = r·n² + g can only sit in row g, so its bitset is row g, reversed
+    to put matrix 0 last, with byte c read as "1" and every other byte as "0".
     """
-    width = n * n
-    total = words.shape[1]
-    raw = words.tobytes()
-    stride = 8 * total  # bytes of one word row
-    # digits[b]: byte value -> ASCII "1" if bit b is set, else "0"
-    digits = [bytes(0x31 if v >> b & 1 else 0x30 for v in range(256)) for b in range(8)]
+    width, total = columns.shape
+    raw = columns.tobytes()
+    zeros = b"0" * 256
     bitsets = [0] * (width * width)
     cells = bytearray(total * width)
-    for col in range(width):
-        owner = 0  # byte j: the cell of matrix j in this column
-        for c in range(col, width * width, width):
-            w, b = divmod(c, 64)
-            flags = raw[w * stride + b // 8:(w + 1) * stride:8].translate(digits[b % 8])
-            bitsets[c] = int(flags[::-1], 2)
-            hits = flags.translate(bytes.maketrans(b"01", bytes((0, c))))
-            owner |= int.from_bytes(hits, "little")
-        cells[col::width] = owner.to_bytes(total, "little")
+    for g in range(width):
+        row = raw[g * total:(g + 1) * total]
+        backwards = row[::-1]
+        for c in range(g, width * width, width):
+            bitsets[c] = int(backwards.translate(zeros[:c] + b"1" + zeros[c + 1:]), 2)
+        cells[g::width] = row
     return CellIndex(bitsets, bytes(cells), width)
 
 
@@ -210,16 +204,20 @@ def _tally(n: int, workers: int | None) -> tuple[Counter, int]:
     check_census_cap(n)
     if workers is not None and workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    words = mask_words(n)
-    total = words.shape[1]
-    index = cell_index(words, n)
+    columns = mask_words(n)
+    total = columns.shape[1]
+    index = cell_index(columns)
     # the answer does not depend on the process count, so never start more
     # processes than there are CPUs to run them or rows to hand out
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
     else:
         cpus = os.cpu_count() or 1
-    procs = min(workers or cpus, cpus, total) if hasattr(os, "fork") else 1
+    # a forked child keeps only the forking thread, and any lock another
+    # thread held stays held in it, so with other threads alive do not fork
+    threading = sys.modules.get("threading")
+    alone = threading is None or threading.active_count() == 1
+    procs = min(workers or cpus, cpus, total) if hasattr(os, "fork") and alone else 1
     cuts = [total * k // procs for k in range(procs + 1)]
     children: list[tuple[int, int]] = []  # pid, read end of its pipe
     try:

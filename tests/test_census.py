@@ -1,8 +1,11 @@
 import os
 import random
 import signal
+import threading
 import time
 from collections import Counter
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 
@@ -69,23 +72,6 @@ class TestHistogram:
         assert mass == census3.ordered_pairs
 
 
-class TestMaskWords:
-    def test_word_layout(self):
-        words = mask_words(2)
-        assert words.shape == (1, 16)
-        assert words.itemsize == 8
-        assert len(set(words.tolist()[0])) == 16
-
-    def test_multi_word_reassembly(self):
-        # 81-bit masks span two words at block order 3
-        words = mask_words(3)
-        assert words.shape == (2, matrix_count(3))
-        low, high = words.tolist()
-        first = low[0] | (high[0] << 64)
-        assert first.bit_count() == 9
-        assert first == next(enumerate_matrices(3)).mask
-
-
 def _cells_by_column(m):
     # a matrix's cells in global-column order: its set bits sorted by
     # (column, row); a permutation matrix has one per column
@@ -95,24 +81,54 @@ def _cells_by_column(m):
                   key=lambda p: (p % n2, p // n2))
 
 
+class TestMaskWords:
+    # byte j of row g is the cell matrix j holds in global column g, built
+    # from the block permutations; SPermMatrix.mask is an independent route
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shape_and_itemsize(self, n):
+        columns = mask_words(n)
+        assert columns.shape == (n * n, matrix_count(n))
+        assert columns.itemsize == 1
+
+    def test_bytes_follow_every_mask_n2(self):
+        rows = mask_words(2).tolist()
+        for j, m in enumerate(enumerate_matrices(2)):
+            assert [row[j] for row in rows] == _cells_by_column(m)
+
+    def test_bytes_follow_sampled_masks_n3(self):
+        columns = mask_words(3)
+        total = columns.shape[1]
+        raw = columns.tobytes()
+        picks = set(random.Random(11).sample(range(total), 64))
+        checked = 0
+        for j, m in enumerate(enumerate_matrices(3)):
+            if j in picks:
+                assert list(raw[j::total]) == _cells_by_column(m)
+                checked += 1
+        assert checked == 64
+
+
 @pytest.fixture(scope="module")
 def index3():
-    return cell_index(mask_words(3), 3)
+    return cell_index(mask_words(3))
 
 
 class TestCellIndex:
-    # the census transposes its own mask words; sperm.cell_bitsets builds
-    # the same index from the digits of the matrix index, sharing no code
+    # the census reads its bitsets and cells off the column rows that
+    # mask_words builds from each matrix's permutations; sperm.cell_bitsets
+    # builds the same bitsets from the digits of the matrix index, sharing
+    # no code
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_bitsets_equal_the_digit_built_index(self, n):
-        assert cell_index(mask_words(n), n).bitsets == cell_bitsets(n)
+        assert cell_index(mask_words(n)).bitsets == cell_bitsets(n)
 
     def test_bitsets_equal_the_digit_built_index_n3(self, index3):
         assert index3.bitsets == cell_bitsets(3)
 
     def test_cells_follow_every_mask_n2(self):
-        index = cell_index(mask_words(2), 2)
+        index = cell_index(mask_words(2))
         assert index.width == 4
         assert len(index.cells) == 16 * 4
         for j, m in enumerate(enumerate_matrices(2)):
@@ -126,6 +142,47 @@ class TestCellIndex:
                 assert list(index3.cells[9 * j:9 * j + 9]) == _cells_by_column(m)
                 checked += 1
         assert checked == 64
+
+    def test_index_follows_any_enumeration_order(self, monkeypatch):
+        mats = list(enumerate_matrices(2))
+        random.Random(4).shuffle(mats)
+        # matrices that share row_perms no longer sit in one run, so the
+        # build meets each row_perms again in later runs
+        assert len(list(groupby(mats, attrgetter("row_perms")))) > 4
+        monkeypatch.setattr(census, "enumerate_matrices", lambda n: iter(mats))
+        index = cell_index(mask_words(2))
+        for j, m in enumerate(mats):
+            assert list(index.cells[4 * j:4 * j + 4]) == _cells_by_column(m)
+            bits = m.mask
+            assert [b >> j & 1 for b in index.bitsets] == [bits >> c & 1 for c in range(16)]
+        result = run_census(2)
+        assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
+
+
+def test_each_entry_point_builds_the_index_once(monkeypatch):
+    # the benchmark wraps census.mask_words and replaces the census's own
+    # enumerate_matrices binding, so both must stay on every census path
+    calls = Counter()
+    real_words, real_enumerate = census.mask_words, census.enumerate_matrices
+
+    def counting_words(n):
+        calls["mask_words"] += 1
+        return real_words(n)
+
+    def counting_enumerate(n):
+        calls["enumerate_matrices"] += 1
+        for m in real_enumerate(n):
+            calls["matrices"] += 1
+            yield m
+
+    monkeypatch.setattr(census, "mask_words", counting_words)
+    monkeypatch.setattr(census, "enumerate_matrices", counting_enumerate)
+    expected = {"mask_words": 1, "enumerate_matrices": 1, "matrices": 16}
+    assert run_census(2).ordered_pairs == 112
+    assert calls == expected
+    calls.clear()
+    assert degree_histogram(2) == {7: 16}
+    assert calls == expected
 
 
 def _naive_count(index, j):
@@ -152,7 +209,7 @@ class TestPartnerKernel:
 
     @pytest.mark.parametrize("seed", [None, 1])
     def test_every_row_n2(self, seed):
-        index = cell_index(mask_words(2), 2)
+        index = cell_index(mask_words(2))
         if seed is not None:
             index = _with_random_bitsets(index, seed)
         naive = [_naive_count(index, j) for j in range(16)]
@@ -171,7 +228,7 @@ class TestPartnerKernel:
 
     @pytest.mark.parametrize("seed", [None, 3])
     def test_row_shuffled_index_n2(self, seed):
-        index = cell_index(mask_words(2), 2)
+        index = cell_index(mask_words(2))
         if seed is not None:
             index = _with_random_bitsets(index, seed)
         rows = [index.cells[at:at + 4] for at in range(0, 64, 4)]
@@ -300,6 +357,18 @@ class TestFork:
         assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
         assert len(forks) == 3
         _assert_no_children()
+
+    def test_serial_while_other_threads_run(self, forks, many_cpus):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            result = run_census(2)
+        finally:
+            stop.set()
+            thread.join()
+        assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
+        assert forks == []
 
     def test_serial_without_fork(self, many_cpus, monkeypatch):
         monkeypatch.delattr(os, "fork")

@@ -18,7 +18,7 @@ RECORDS = [
     (sp.CensusResult, lambda: sp.CensusResult(2, 112, 56, 16, 0.0),
      ("n", "ordered_pairs", "unordered_pairs", "matrices_scanned", "elapsed_seconds"),
      False),
-    (CellIndex, lambda: cell_index(mask_words(2), 2),
+    (CellIndex, lambda: cell_index(mask_words(2)),
      ("bitsets", "cells", "width"), False),
     (sp.Bigraph, lambda: sp.from_edges(2, [(0, 0), (1, 1)]), ("n", "code"), True),
     (sp.GraphProfile, lambda: sp.profile(sp.from_edges(2, [(0, 1)])),
