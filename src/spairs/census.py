@@ -11,26 +11,25 @@ off its column's row, with bit j set iff matrix j covers the cell, and
 interleaves the rows into each matrix's n² cells in global-column order.
 Matrix i shares a cell with matrix j iff bit j is set in the OR of the
 bitsets of i's n² cells, so i's disjoint partners number N minus the popcount
-of that OR; every pair is still tested, all of one row at once.
+of that OR; every pair is still tested by its own bit.
 
-The scan reuses shared ORs.  The first n² − n cells of a row, block columns
-1 … n − 1, do not depend on the last column permutation, so in enumeration
-order they repeat over runs of n! rows and their OR is kept while they do.
-The last n cells, block column n, take at most n!·n^n distinct values (162
-at n = 3), and the OR of each is memoized.  Both are exact in any row order.
-
-The partner counts of all rows give both results: their sum is the ordered
-pair count, which must be even and halves to the unordered one, and their
-tally is the degree histogram.
+One traversal walks the rows in runs that share their first n cells, block
+column 1's, and gives each run P, the OR of those cells' bitsets, and R_i
+for each row i, the OR of its other n² − n cells'.  In enumeration order the
+n! runs under one ``row_perms`` share their other cells, so the last run's
+R list is reused while they do; the result is exact in any row order.  For
+``run_census``, a run's rows cover rows·|P| + Σ_i |R_i ∖ P| matrices, and a
+bit-sliced count of the R_i gives the sum with a few popcounts per run, not
+one per row; ``degree_histogram`` tallies each row's count, N − |P | R_i|.
 
 Every call uses every CPU the process may run on, unless ``workers`` caps
 it.  Once the cell index is built, the rows are cut into one contiguous span
 per process and ``os.fork`` starts one child per span after the first; each
-child inherits the index copy-on-write, tallies its span with the same
-kernel and writes the tally to a pipe as decimal text.  The parent tallies
-the first span, then reads and reaps every child.  Partial tallies are exact
-ints, so the result is identical for any worker count; their frequencies
-must sum to the matrix count, so a span tallied twice or lost is an error.
+child inherits the index copy-on-write, reduces its span and writes its row
+count, partner-count sum and tally to a pipe as decimal text.  The parent
+reduces the first span, then reads and reaps every child.  The parts are
+exact ints, so the result is identical for any worker count; their rows
+must sum to the matrix count, so a span counted twice or lost is an error.
 Where ``os.fork`` is missing, or another thread is alive, the scan runs in
 one process.
 """
@@ -115,39 +114,64 @@ def cell_index(columns: memoryview) -> CellIndex:
     return CellIndex(bitsets, bytes(cells), width)
 
 
-def _partner_counts(index: CellIndex, i0: int, i1: int) -> Iterator[int]:
-    """Disjoint-partner count for each matrix i in [i0, i1), over all j != i.
+def _runs(index: CellIndex, i0: int, i1: int) -> Iterator[tuple[int, list[int]]]:
+    """(P, R) for each run of rows in [i0, i1) that share their first n cells.
 
-    A matrix covers its own cells, so bit i is in the OR and j = i never
-    counts.  The OR of a row's cells is the OR of its head (all but the
-    last block column) and its tail (the last n cells); the head's OR is
-    reused while consecutive rows share the head bytes, and each distinct
-    tail's OR is memoized.
+    The list of each row's R_i is the previous run's list object while the
+    two runs' other cells are equal byte for byte.
     """
     bitsets, cells, width = index
-    total = len(cells) // width
-    split = width - math.isqrt(width)
-    tails: dict[bytes, int] = {}
-    head, head_or = None, 0
-    for at in range(i0 * width, i1 * width, width):
-        cut = at + split
-        if cells[at:cut] != head:
-            head, head_or = cells[at:cut], 0
-            for c in head:
-                head_or |= bitsets[c]
-        tail = cells[cut:at + width]
-        tail_or = tails.get(tail)
-        if tail_or is None:
-            tail_or = 0
-            for c in tail:
-                tail_or |= bitsets[c]
-            tails[tail] = tail_or
-        yield total - (head_or | tail_or).bit_count()
+    n = math.isqrt(width)
+    at, end = i0 * width, i1 * width
+    rest, ors = [], []
+    while at < end:
+        head, stop = cells[at:at + n], at + width
+        while stop < end and cells[stop:stop + n] == head:
+            stop += width
+        others = [cells[a + n:a + width] for a in range(at, stop, width)]
+        if others != rest:
+            rest, ors = others, []
+            for row in rest:
+                r = 0
+                for c in row:
+                    r |= bitsets[c]
+                ors.append(r)
+        p = 0
+        for c in head:
+            p |= bitsets[c]
+        yield p, ors
+        at = stop
 
 
-def _span_tally(index: CellIndex, i0: int, i1: int) -> Counter:
-    """Tally of the partner counts of rows [i0, i1)."""
-    return Counter(_partner_counts(index, i0, i1))
+def _span_pairs(index: CellIndex, i0: int, i1: int) -> tuple[int, int, Counter]:
+    """Rows [i0, i1)'s row count and partner-count sum, and an empty tally.
+
+    Slice k of a ripple-carry counter holds bit k of how many of a run's R_i
+    hold each matrix, so Σ_i |R_i ∖ P| is Σ_k 2^k·|slice k ∖ P|.
+    """
+    total = len(index.cells) // index.width
+    rows = covered = 0
+    counted, slices = None, []
+    for p, ors in _runs(index, i0, i1):
+        if ors is not counted:
+            counted, slices = ors, []
+            for carry in ors:
+                for k, s in enumerate(slices):
+                    slices[k], carry = s ^ carry, s & carry
+                if carry:
+                    slices.append(carry)
+        outside = ~p
+        rows += len(ors)
+        covered += len(ors) * p.bit_count()
+        covered += sum((s & outside).bit_count() << k for k, s in enumerate(slices))
+    return rows, total * rows - covered, Counter()
+
+
+def _span_partners(index: CellIndex, i0: int, i1: int) -> tuple[int, int, Counter]:
+    """Rows [i0, i1)'s row count, partner-count sum and tally of partner counts."""
+    total = len(index.cells) // index.width
+    tally = Counter(total - (p | r).bit_count() for p, ors in _runs(index, i0, i1) for r in ors)
+    return tally.total(), sum(c * f for c, f in tally.items()), tally
 
 
 def check_census_cap(n: int) -> None:
@@ -159,12 +183,12 @@ def check_census_cap(n: int) -> None:
         )
 
 
-def _fork_span(index: CellIndex, i0: int, i1: int) -> tuple[int, int]:
-    """Fork a child that tallies rows [i0, i1); return its pid and its pipe's read end.
+def _fork_span(index: CellIndex, i0: int, i1: int, span) -> tuple[int, int]:
+    """Fork a child that runs ``span`` on rows [i0, i1); return its pid and pipe's read end.
 
-    The child writes its tally as decimal ``count freq`` pairs and leaves by
-    ``os._exit``, so it never returns into the caller's stack and never
-    flushes the stdio buffers it inherited.
+    The child writes its rows, its sum and its tally's ``count freq`` pairs
+    as decimal text and leaves by ``os._exit``, so it never returns into the
+    caller's stack and never flushes the stdio buffers it inherited.
     """
     r, w = os.pipe()
     try:
@@ -176,8 +200,9 @@ def _fork_span(index: CellIndex, i0: int, i1: int) -> tuple[int, int]:
     if pid == 0:
         try:
             os.close(r)
-            tally = _span_tally(index, i0, i1)
-            text = memoryview(" ".join(f"{c} {f}" for c, f in tally.items()).encode())
+            rows, ordered, tally = span(index, i0, i1)
+            fields = [rows, ordered, *(x for item in tally.items() for x in item)]
+            text = memoryview(" ".join(map(str, fields)).encode())
             while text:
                 text = text[os.write(w, text):]
             os._exit(0)
@@ -194,12 +219,13 @@ def _read_all(fd: int) -> bytes:
     return b"".join(chunks)
 
 
-def _tally(n: int, workers: int | None) -> tuple[Counter, int]:
-    """Tally of the partner counts of every matrix, and the matrix count.
+def _scan(n: int, workers: int | None, span) -> tuple[int, Counter, int]:
+    """The partner-count sum, the merged tally and the matrix count.
 
-    Rows are tallied in ``min(workers or CPUs, CPUs, rows)`` processes, one
-    contiguous span each; raises RuntimeError if a child process fails and
-    ArithmeticError if the tallies do not cover every row once.
+    ``span`` reduces rows [i0, i1) to their row count, sum and tally, in
+    ``min(workers or CPUs, CPUs, rows)`` processes, one contiguous span
+    each.  Raises RuntimeError if a child process fails, and ArithmeticError
+    if the spans do not cover every row once or the sum is odd.
     """
     check_census_cap(n)
     if workers is not None and workers < 1:
@@ -222,8 +248,8 @@ def _tally(n: int, workers: int | None) -> tuple[Counter, int]:
     children: list[tuple[int, int]] = []  # pid, read end of its pipe
     try:
         for i0, i1 in zip(cuts[1:], cuts[2:]):
-            children.append(_fork_span(index, i0, i1))
-        tally = _span_tally(index, 0, cuts[1])
+            children.append(_fork_span(index, i0, i1, span))
+        rows, ordered, tally = span(index, 0, cuts[1])
         texts = [_read_all(fd) for _pid, fd in children]
     except BaseException:
         import signal
@@ -241,34 +267,31 @@ def _tally(n: int, workers: int | None) -> tuple[Counter, int]:
         if code:
             how = f"died by signal {-code}" if code < 0 else f"exited with code {code}"
             raise RuntimeError(f"census child {pid} {how}")
-        fields = text.split()
         try:
+            span_rows, span_sum, *fields = map(int, text.split())
             for count, freq in zip(fields[::2], fields[1::2], strict=True):
-                tally[int(count)] += int(freq)
+                tally[count] += freq
         except ValueError:
             raise RuntimeError(f"census child {pid} sent unparseable {text[:60]!r}") from None
-    if sum(tally.values()) != total:
-        raise ArithmeticError(
-            f"partner-count tallies at block order {n} cover "
-            f"{sum(tally.values())} rows, not {total}"
-        )
-    return tally, total
+        rows, ordered = rows + span_rows, ordered + span_sum
+    if rows != total:
+        raise ArithmeticError(f"census spans at block order {n} cover {rows} rows, not {total}")
+    if ordered % 2:
+        raise ArithmeticError(f"partner counts at block order {n} sum to odd {ordered}")
+    return ordered, tally, total
 
 
 def run_census(n: int, workers: int | None = None) -> CensusResult:
     """Count disjoint pairs over the full matrix set by cell intersection.
 
-    The ordered count is the sum of every matrix's disjoint-partner count;
-    raises ArithmeticError if that sum is odd, since each unordered pair
-    is counted from both ends.  The rows are tallied on every CPU this
-    process may run on, or on at most ``workers`` processes, one contiguous
-    span each.
+    The ordered count is the sum of every matrix's disjoint-partner count,
+    taken by bit-sliced counters over runs of rows; raises ArithmeticError
+    if it is odd, since each unordered pair is counted from both ends.  The
+    rows are scanned on every CPU this process may run on, or on at most
+    ``workers`` processes, one contiguous span each.
     """
     start = time.perf_counter()
-    tally, total = _tally(n, workers)
-    ordered = sum(count * freq for count, freq in tally.items())
-    if ordered % 2:
-        raise ArithmeticError(f"partner counts at block order {n} sum to odd {ordered}")
+    ordered, _tally, total = _scan(n, workers, _span_pairs)
     elapsed = time.perf_counter() - start
     return CensusResult(n, ordered, ordered // 2, total, elapsed)
 
@@ -276,8 +299,9 @@ def run_census(n: int, workers: int | None = None) -> CensusResult:
 def degree_histogram(n: int) -> dict[int, int]:
     """Map from disjoint-partner count to how many matrices have it.
 
-    The mass sum(count * frequency) equals the ordered pair count.  The rows
-    are tallied on every CPU this process may run on, as in ``run_census``.
+    Row i's count is N − |P | R_i|, over the runs ``run_census`` sums.  The
+    mass sum(count * frequency) is the ordered pair count, so it must be
+    even.  The rows are tallied on every CPU, as in ``run_census``.
     """
-    tally, _total = _tally(n, None)
+    _ordered, tally, _total = _scan(n, None, _span_partners)
     return dict(tally)

@@ -203,39 +203,114 @@ def _with_random_bitsets(index, seed):
     return index._replace(bitsets=[rng.getrandbits(total) for _ in index.bitsets])
 
 
+def _traversal_counts(index, i0, i1):
+    # N - |P | R_i| for each row the shared traversal gives, in row order
+    total = len(index.cells) // index.width
+    return [total - (p | r).bit_count() for p, ors in census._runs(index, i0, i1) for r in ors]
+
+
+def _assert_histogram_span(index, i0, i1):
+    naive = [_naive_count(index, j) for j in range(i0, i1)]
+    assert _traversal_counts(index, i0, i1) == naive
+    assert census._span_partners(index, i0, i1) == (len(naive), sum(naive), Counter(naive))
+
+
+def _assert_pairs_span(index, i0, i1):
+    naive = [_naive_count(index, j) for j in range(i0, i1)]
+    assert census._span_pairs(index, i0, i1) == (len(naive), sum(naive), Counter())
+
+
+def _shuffled_rows(index, seed):
+    width = index.width
+    rows = [index.cells[at:at + width] for at in range(0, len(index.cells), width)]
+    random.Random(seed).shuffle(rows)
+    return index._replace(cells=b"".join(rows))
+
+
 class TestPartnerKernel:
-    # the scan reuses the OR of a row's head and memoizes the OR of each
-    # distinct tail; neither may change any row's count
+    # the histogram reduction: the traversal reuses each run's R list over
+    # runs that share it, and neither that nor the run's P may change any
+    # row's count
 
     @pytest.mark.parametrize("seed", [None, 1])
     def test_every_row_n2(self, seed):
         index = cell_index(mask_words(2))
         if seed is not None:
             index = _with_random_bitsets(index, seed)
-        naive = [_naive_count(index, j) for j in range(16)]
-        assert list(census._partner_counts(index, 0, 16)) == naive
+        for i0 in range(17):
+            for i1 in range(i0, 17):
+                _assert_histogram_span(index, i0, i1)
 
     @pytest.mark.parametrize("seed", [None, 2])
     def test_sampled_rows_n3(self, index3, seed):
         index = index3 if seed is None else _with_random_bitsets(index3, seed)
         total = matrix_count(3)
-        kernel = list(census._partner_counts(index, 0, total))
+        kernel = _traversal_counts(index, 0, total)
         for j in random.Random(7).sample(range(total), 64):
             assert kernel[j] == _naive_count(index, j)
-        # a span that starts inside a run of rows sharing one head
-        naive = [_naive_count(index, j) for j in range(1001, 1100)]
-        assert list(census._partner_counts(index, 1001, 1100)) == naive
+        assert census._span_partners(index, 0, total) == (total, sum(kernel), Counter(kernel))
+        # a span that starts inside a run of rows sharing one first block column
+        _assert_histogram_span(index, 1001, 1100)
 
     @pytest.mark.parametrize("seed", [None, 3])
     def test_row_shuffled_index_n2(self, seed):
         index = cell_index(mask_words(2))
         if seed is not None:
             index = _with_random_bitsets(index, seed)
-        rows = [index.cells[at:at + 4] for at in range(0, 64, 4)]
-        random.Random(3).shuffle(rows)
-        shuffled = index._replace(cells=b"".join(rows))
-        naive = [_naive_count(shuffled, j) for j in range(16)]
-        assert list(census._partner_counts(shuffled, 0, 16)) == naive
+        _assert_histogram_span(_shuffled_rows(index, 3), 0, 16)
+
+
+class TestPairsKernel:
+    # the sum reduction counts a run's pairs from P and bit-sliced counts of
+    # its R_i; its sum must equal the per-row counts' sum over any span
+
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_every_span_n2(self, seed):
+        index = cell_index(mask_words(2))
+        if seed is not None:
+            index = _with_random_bitsets(index, seed)
+        for i0 in range(17):
+            for i1 in range(i0, 17):
+                _assert_pairs_span(index, i0, i1)
+
+    @pytest.mark.parametrize("seed", [None, 2])
+    def test_mid_run_span_n3(self, index3, seed):
+        index = index3 if seed is None else _with_random_bitsets(index3, seed)
+        # starts inside a run, ends inside another, and reuses one R list
+        _assert_pairs_span(index, 1001, 1100)
+
+    def test_every_row_n3_with_random_bitsets(self, index3):
+        _assert_pairs_span(_with_random_bitsets(index3, 4), 0, matrix_count(3))
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_row_shuffled_index_n2(self, seed):
+        index = cell_index(mask_words(2))
+        if seed is not None:
+            index = _with_random_bitsets(index, seed)
+        shuffled = _shuffled_rows(index, 3)
+        for i0 in range(17):
+            for i1 in range(i0, 17):
+                _assert_pairs_span(shuffled, i0, i1)
+
+    @pytest.mark.parametrize("bitset", [None, 0])
+    def test_n1_has_no_cells_past_the_run_prefix(self, bitset):
+        # n = 1: the first block column is the whole row, so each R_i is 0
+        index = cell_index(mask_words(1))
+        if bitset is not None:
+            index = index._replace(bitsets=[bitset])
+        assert list(census._runs(index, 0, 1)) == [(index.bitsets[0], [0])]
+        _assert_pairs_span(index, 0, 1)
+        _assert_histogram_span(index, 0, 1)
+
+
+def _each_entry_point(wrap):
+    # each census entry point at n = 2, while the span function it calls,
+    # and only that one, is replaced by wrap(real function)
+    for name, call in (("_span_pairs", lambda: run_census(2)),
+                       ("_span_partners", lambda: degree_histogram(2))):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(census, name, wrap(getattr(census, name)))
+            yield call
 
 
 def _assert_no_children():
@@ -260,8 +335,16 @@ class TestFork:
         return pids
 
     @pytest.fixture
-    def many_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)), raising=False)
+    def cpus(self, monkeypatch):
+        # sets how many CPUs the census sees, so how many spans it forks
+        def use(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+        return use
+
+    @pytest.fixture
+    def many_cpus(self, cpus):
+        cpus(128)
 
     def test_forks_never_exceed_the_cpus(self, forks):
         result = run_census(2, workers=64)
@@ -280,74 +363,94 @@ class TestFork:
         assert len(forks) == 19
         _assert_no_children()
 
-    def test_failing_child_raises(self, forks, many_cpus, monkeypatch):
-        real = census._span_tally
+    def test_failing_child_raises(self, forks, cpus):
+        def wrap(real):
+            def fails_in_child(index, i0, i1):
+                if i0:
+                    raise MemoryError("child")
+                return real(index, i0, i1)
+            return fails_in_child
 
-        def fails_in_child(index, i0, i1):
-            if i0:
-                raise MemoryError("child")
-            return real(index, i0, i1)
-
-        monkeypatch.setattr(census, "_span_tally", fails_in_child)
-        with pytest.raises(RuntimeError, match="exited with code 1"):
-            run_census(2, workers=2)
-        assert len(forks) == 1
+        cpus(2)
+        for call in _each_entry_point(wrap):
+            with pytest.raises(RuntimeError, match="exited with code 1"):
+                call()
+        assert len(forks) == 2
         _assert_no_children()
 
-    def test_killed_child_raises(self, forks, many_cpus, monkeypatch):
-        real = census._span_tally
+    def test_killed_child_raises(self, forks, cpus):
+        def wrap(real):
+            def killed_in_child(index, i0, i1):
+                if i0:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(index, i0, i1)
+            return killed_in_child
 
-        def killed_in_child(index, i0, i1):
-            if i0:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(index, i0, i1)
-
-        monkeypatch.setattr(census, "_span_tally", killed_in_child)
-        with pytest.raises(RuntimeError, match=f"died by signal {signal.SIGKILL.value}"):
-            run_census(2, workers=2)
+        cpus(2)
+        for call in _each_entry_point(wrap):
+            with pytest.raises(RuntimeError, match=f"died by signal {signal.SIGKILL.value}"):
+                call()
+        assert len(forks) == 2
         _assert_no_children()
 
     @pytest.mark.parametrize("sent", [{"7x": 8}, {7: "8 9"}])
-    def test_unparseable_child_output_raises(self, forks, many_cpus, monkeypatch, sent):
-        real = census._span_tally
+    def test_unparseable_child_output_raises(self, forks, cpus, sent):
+        def wrap(real):
+            def garbled_in_child(index, i0, i1):
+                rows, ordered, tally = real(index, i0, i1)
+                return (rows, ordered, Counter(sent)) if i0 else (rows, ordered, tally)
+            return garbled_in_child
 
-        def garbled_in_child(index, i0, i1):
-            return Counter(sent) if i0 else real(index, i0, i1)
-
-        monkeypatch.setattr(census, "_span_tally", garbled_in_child)
-        with pytest.raises(RuntimeError, match="unparseable"):
-            run_census(2, workers=2)
+        cpus(2)
+        for call in _each_entry_point(wrap):
+            with pytest.raises(RuntimeError, match="unparseable"):
+                call()
         _assert_no_children()
 
-    def test_failing_parent_kills_and_reaps_its_children(self, forks, many_cpus, monkeypatch):
-        real = census._span_tally
+    def test_failing_parent_kills_and_reaps_its_children(self, forks, cpus):
+        def wrap(real):
+            def parent_fails_child_stalls(index, i0, i1):
+                if not i0:
+                    raise MemoryError("parent")
+                time.sleep(30)
+                return real(index, i0, i1)
+            return parent_fails_child_stalls
 
-        def parent_fails_child_stalls(index, i0, i1):
-            if not i0:
-                raise MemoryError("parent")
-            time.sleep(30)
-            return real(index, i0, i1)
+        cpus(4)
+        for call in _each_entry_point(wrap):
+            start = time.perf_counter()
+            with pytest.raises(MemoryError, match="parent"):
+                call()
+            assert time.perf_counter() - start < 10
+            _assert_no_children()
+        assert len(forks) == 6
 
-        monkeypatch.setattr(census, "_span_tally", parent_fails_child_stalls)
-        start = time.perf_counter()
-        with pytest.raises(MemoryError, match="parent"):
-            run_census(2, workers=4)
-        assert time.perf_counter() - start < 10
-        assert len(forks) == 3
-        _assert_no_children()
+    def test_a_lost_row_is_an_internal_error(self, forks, cpus, monkeypatch):
+        def wrap(real):
+            def drops_a_row(index, i0, i1):
+                rows, ordered, tally = real(index, i0, i1)
+                return (rows if i0 else rows - 1), ordered, tally
+            return drops_a_row
 
-    def test_a_lost_row_is_an_internal_error(self, forks, many_cpus, monkeypatch):
-        real = census._partner_counts
+        cpus(2)
+        for call in _each_entry_point(wrap):
+            with pytest.raises(ArithmeticError, match="cover 15 rows, not 16"):
+                call()
+        # a row the shared traversal loses is lost to both reductions
+        real = census._runs
 
-        def drops_a_row(index, i0, i1):
-            counts = real(index, i0, i1)
+        def traversal_drops_a_row(index, i0, i1):
+            runs = real(index, i0, i1)
             if i0 == 0:
-                next(counts)
-            yield from counts
+                p, run = next(runs)
+                yield p, run[1:]
+            yield from runs
 
-        monkeypatch.setattr(census, "_partner_counts", drops_a_row)
-        with pytest.raises(ArithmeticError, match="cover 15 rows, not 16"):
-            run_census(2, workers=2)
+        monkeypatch.setattr(census, "_runs", traversal_drops_a_row)
+        for call in _each_entry_point(lambda real: real):
+            with pytest.raises(ArithmeticError, match="cover 15 rows, not 16"):
+                call()
+        assert len(forks) == 4
         _assert_no_children()
 
     def test_cpu_count_without_affinity(self, forks, monkeypatch):
@@ -378,18 +481,22 @@ class TestFork:
 
 
 def test_odd_partner_sum_is_an_internal_error(monkeypatch, capsys):
-    real = census._partner_counts
+    def wrap(real):
+        def one_too_many(index, i0, i1):
+            # once, at global row 0, whichever process reduces that span:
+            # that row's count and the span's sum both grow by one
+            rows, ordered, tally = real(index, i0, i1)
+            if i0 == 0 and tally:
+                count = min(tally)
+                tally[count] -= 1
+                tally[count + 1] += 1
+            return rows, ordered + (i0 == 0), tally
+        return one_too_many
 
-    def one_too_many(index, i0, i1):
-        # once, at global row 0, whichever process tallies that span
-        counts = real(index, i0, i1)
-        if i0 == 0:
-            yield next(counts) + 1
-        yield from counts
-
-    monkeypatch.setattr(census, "_partner_counts", one_too_many)
-    with pytest.raises(ArithmeticError, match="odd"):
-        run_census(2)
+    for call in _each_entry_point(wrap):
+        with pytest.raises(ArithmeticError, match="odd"):
+            call()
+    monkeypatch.setattr(census, "_span_pairs", wrap(census._span_pairs))
     assert cli.main(["count", "--n", "2", "--mode", "census"]) == 3
     assert "internal consistency check failed" in capsys.readouterr().err
 
