@@ -54,12 +54,10 @@ from .sudoku import (
     count_grids,
     decompose,
     first_violation,
-    format_grid,
     iter_grids,
     parse_grid,
     recompose,
     sample_family,
-    validate,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +96,6 @@ __all__ = [
     "enumerate_matrices",
     "first_violation",
     "format_code",
-    "format_grid",
     "format_rational",
     "from_edges",
     "graph_weight",
@@ -113,6 +110,5 @@ __all__ = [
     "run_census",
     "sample_family",
     "to_dot",
-    "validate",
     "weight_table",
 ]

@@ -57,9 +57,6 @@ class Bigraph(NamedTuple):
     def edge_count(self) -> int:
         return self.code.bit_count()
 
-    def code_hex(self) -> str:
-        return format_code(self.n, self.code)
-
 
 def from_edges(n: int, edges) -> Bigraph:
     code = 0
@@ -211,7 +208,7 @@ def enumerate_catalog(n: int) -> GraphCatalog:
 def to_dot(g: Bigraph) -> str:
     """GraphViz rendering with row vertices r1..rn and column vertices c1..cn."""
     n = g.n
-    lines = [f'graph "g_{g.code_hex()}" {{', "  rankdir=LR;"]
+    lines = [f'graph "g_{format_code(n, g.code)}" {{', "  rankdir=LR;"]
     for r in range(n):
         lines.append(f"  r{r + 1} [shape=point];")
     for c in range(n):

@@ -70,7 +70,7 @@ def mask_words(n: int) -> memoryview:
 
     Byte j of row g is the cell that matrix j holds in global column g.  The
     benchmark wraps this function by name, so the name stays until the
-    program emits its own spans (ROADMAP item 5).
+    program emits its own spans (ROADMAP item 6).
     """
     n2 = n * n
     perms = list(permutations(range(1, n + 1)))

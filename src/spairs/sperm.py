@@ -73,17 +73,6 @@ class SPermMatrix(NamedTuple):
                 bits |= 1 << ((s * n + row[t] - 1) * n2 + t * n + col[s] - 1)
         return bits
 
-    def transpose(self) -> SPermMatrix:
-        """Matrix transpose; swaps the roles of row and column permutations."""
-        return SPermMatrix(self.n, self.col_perms, self.row_perms)
-
-    def to_dense(self) -> list[list[int]]:
-        n2 = self.n * self.n
-        rows = [[0] * n2 for _ in range(n2)]
-        for r, c in self.cells():
-            rows[r - 1][c - 1] = 1
-        return rows
-
 
 def build_matrix(
     n: int,

@@ -102,7 +102,11 @@ def _check_shape(grid: SudokuGrid) -> None:
 
 
 def first_violation(grid: SudokuGrid) -> str | None:
-    """Location of the first broken constraint group, or None if valid."""
+    """Location of the first broken constraint group, or None if valid.
+
+    Raises GridFormatError on malformed data: wrong dimensions or entries.
+    """
+    _check_shape(grid)
     n, n2 = grid.n, grid.n * grid.n
     want = set(range(1, n2 + 1))
     for r, row in enumerate(grid.cells):
@@ -123,18 +127,11 @@ def first_violation(grid: SudokuGrid) -> str | None:
     return None
 
 
-def validate(grid: SudokuGrid) -> bool:
-    """True iff all 3n² constraint groups hold; raises on malformed data."""
-    _check_shape(grid)
-    return first_violation(grid) is None
-
-
 def decompose(grid: SudokuGrid) -> DisjointFamily:
     """Split a valid grid into its n² pairwise-disjoint layers.
 
     Member s-1 is the S-permutation matrix of the cells holding value s.
     """
-    _check_shape(grid)
     problem = first_violation(grid)
     if problem is not None:
         raise InvalidGridError(problem)
@@ -329,7 +326,7 @@ def sample_family(n: int, seed: int) -> DisjointFamily:
 
 
 # ---------------------------------------------------------------------------
-# Plain-text grid I/O
+# Plain-text grid parsing
 # ---------------------------------------------------------------------------
 
 
@@ -358,11 +355,3 @@ def parse_grid(text: str) -> SudokuGrid:
     grid = SudokuGrid(n, tuple(rows))
     _check_shape(grid)
     return grid
-
-
-def format_grid(grid: SudokuGrid) -> str:
-    width = len(str(grid.n * grid.n))
-    lines = [str(grid.n)]
-    for row in grid.cells:
-        lines.append(" ".join(str(v).rjust(width) for v in row))
-    return "\n".join(lines) + "\n"

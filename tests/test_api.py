@@ -1,0 +1,68 @@
+"""The public surface that callers and the benchmark reach by name."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import spairs
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_export_list_is_exact():
+    names = spairs.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(spairs, name), name
+    star: dict = {}
+    exec("from spairs import *", star)
+    star.pop("__builtins__")
+    assert star.keys() == set(names)
+
+
+def _count_pairs(stdout):
+    payload = json.loads(stdout)["payload"]
+    return payload["match"], [
+        (payload[route]["ordered_pairs"], payload[route]["unordered_pairs"])
+        for route in ("formula", "census")
+    ]
+
+
+# (spec, check of the op's stdout, spans it must record)
+HOOK_SPECS = [
+    ({"cli": ["count", "--n", "2"]},
+     lambda out: _count_pairs(out) == (True, [("112", "56")] * 2),
+     {"sperm.enumerate_matrices", "census.mask_words", "census.run_census",
+      "bigraphs.enumerate_catalog", "formula.count_ordered",
+      "formula.weight_table"}),
+    ({"call": "degree_histogram", "n": 2},
+     lambda out: json.loads(out) == {"7": 16},
+     {"sperm.enumerate_matrices", "census.mask_words",
+      "census.degree_histogram"}),
+    ({"call": "pool", "n": 2, "workers": 2},
+     lambda out: json.loads(out) == {"serial": "112", "pool": "112"},
+     {"sperm.enumerate_matrices", "census.mask_words", "census.run_census"}),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, check, spans", HOOK_SPECS, ids=["count", "histogram", "pool"]
+)
+def test_benchmark_hooks_resolve(spec, check, spans):
+    # traced_op wraps every function in its TARGETS by name before it runs,
+    # so removing or renaming any of them fails here, not at benchmark time
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "traced_op.py"), json.dumps(spec)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["rc"] == 0
+    assert check(result["stdout"])
+    assert spans <= {s["name"] for s in result["spans"]}

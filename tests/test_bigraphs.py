@@ -109,7 +109,6 @@ class TestBigraph:
     )
     def test_format_code_width(self, n, code, expected):
         assert format_code(n, code) == expected
-        assert Bigraph(n, code).code_hex() == expected
 
 
 class TestProfile:
