@@ -34,7 +34,7 @@ from itertools import combinations_with_replacement, permutations
 from math import factorial, prod
 from typing import Iterator, NamedTuple
 
-from .sperm import SizeLimitError
+from .sperm import check_cap
 
 CATALOG_CAP = 5  # n=6 would walk C(69, 6) ~ 1.2e8 sorted row tuples
 
@@ -169,11 +169,7 @@ def enumerate_catalog(n: int) -> GraphCatalog:
     Raises ArithmeticError if a marked tuple is never reached or the orbit
     sizes do not sum to 2^(n²).
     """
-    if n > CATALOG_CAP:
-        raise SizeLimitError(
-            f"catalog for side size {n} covers 2^{n * n} labeled graphs; "
-            f"capped at n <= {CATALOG_CAP}"
-        )
+    check_cap(n, CATALOG_CAP, f"catalog for side size {n} covers 2^{n * n} labeled graphs")
     if n < 1:
         raise ValueError(f"side size must be >= 1, got {n}")
     tables = _column_tables(n)

@@ -46,7 +46,7 @@ from itertools import groupby, permutations
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
-from .sperm import Perm, SizeLimitError, enumerate_matrices
+from .sperm import Perm, check_cap, enumerate_matrices
 
 CENSUS_CAP = 3  # n=4 would be ~6e21 pair tests
 
@@ -176,11 +176,7 @@ def _span_partners(index: CellIndex, i0: int, i1: int) -> tuple[int, int, Counte
 
 def check_census_cap(n: int) -> None:
     """Raise SizeLimitError if a census at block order n is past the cap."""
-    if n > CENSUS_CAP:
-        raise SizeLimitError(
-            f"census at block order {n} means ~({n}!)^{4 * n}/2 "
-            f"pair tests; capped at n <= {CENSUS_CAP}"
-        )
+    check_cap(n, CENSUS_CAP, f"census at block order {n} means ~({n}!)^{4 * n}/2 pair tests")
 
 
 def _fork_span(index: CellIndex, i0: int, i1: int, span) -> tuple[int, int]:

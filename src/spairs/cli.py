@@ -105,8 +105,8 @@ def _cmd_graphs(args) -> tuple[dict, dict]:
 
 
 def _formula_block(n: int, convention: str) -> dict[str, Any]:
-    catalog = enumerate_catalog(n)
-    ordered = count_ordered(n, catalog, convention)  # checked to be even
+    table = weight_table(enumerate_catalog(n), convention)
+    ordered = count_ordered(n, table)  # checked to be even
     return {
         "convention": convention,
         "ordered_pairs": str(ordered),
@@ -114,7 +114,7 @@ def _formula_block(n: int, convention: str) -> dict[str, Any]:
         "matrix_count": str(matrix_count(n)),
         "bucket_weights": [
             {"edges": k, "weight": format_rational(w)}
-            for k, w in sorted(weight_table(catalog, convention).items())
+            for k, w in sorted(table.items())
         ],
     }
 

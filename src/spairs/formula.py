@@ -22,10 +22,12 @@ side-preserving automorphisms, the count becomes
                  * sum_{classes g, k edges} degree_factor(g) / |Aut(g)|.
 
 (The degree product legitimately stops at i = n-2: degree-n and
-degree-(n-1) vertices contribute 0! = 1! = 1.)  ``weight_table`` is the one
-place the inner sums are taken, for k = 1..n²; the k = 0 bucket holds only
-the empty graph, whose term is (n!)^(4n), and ``count_ordered`` is that plus
-(n!)^(2(n+1)) times the alternating sum of the table.
+degree-(n-1) vertices contribute 0! = 1! = 1.)  The count is taken in two
+steps.  ``weight_table(catalog, convention)`` is the one place the inner
+sums are taken, for k = 1..n²; the convention is chosen there and nowhere
+else.  The k = 0 bucket holds only the empty graph, whose term is
+(n!)^(4n), and ``count_ordered(n, table)`` is that plus (n!)^(2(n+1))
+times the alternating sum of the table the caller holds.
 
 ``graph_weight(entry, convention)`` is the one per-class weight function:
 the numerator is always ``degree_factor``, and the convention picks only
@@ -109,21 +111,21 @@ def weight_table(
     }
 
 
-def count_ordered(
-    n: int, catalog: GraphCatalog, convention: str = "automorphism"
-) -> int:
+def count_ordered(n: int, table: dict[int, Fraction]) -> int:
     """Count of ordered pairs of disjoint S-permutation matrices:
-    (n!)^(4n) + (n!)^(2(n+1)) · Σ_k (−1)^k · weight_table(catalog)[k].
+    (n!)^(4n) + (n!)^(2(n+1)) · Σ_k (−1)^k · table[k].
 
-    With the default convention this is the true count, confirmed against
-    the exhaustive census for n ≤ 3.  Under "twin-classes" it is the
-    value the shortcut convention produces (144 at n=2), kept reproducible
-    for comparison; the census refutes it.  The count is checked to be even.
+    ``table`` is a side-size-n ``weight_table``, keyed k = 1..n².  Under the
+    automorphism convention this is the true count, confirmed against the
+    exhaustive census for n ≤ 3; a "twin-classes" table gives the value the
+    shortcut produces (144 at n=2), which the census refutes.  The count is
+    checked to be even.
     """
-    if catalog.n != n:
-        raise ValueError(f"catalog is for side size {catalog.n}, not {n}")
+    if n < 1:
+        raise ValueError(f"side size must be >= 1, got {n}")
+    if sorted(table) != list(range(1, n * n + 1)):
+        raise ValueError(f"weight table buckets are not 1..{n * n}")
     fact = math.factorial(n)
-    table = weight_table(catalog, convention)
     tail = sum(((-1) ** k * w for k, w in table.items()), Fraction(0))
     total = fact ** (4 * n) + fact ** (2 * (n + 1)) * tail
     if total.denominator != 1:
@@ -137,11 +139,9 @@ def count_ordered(
     return int(total)
 
 
-def count_unordered(
-    n: int, catalog: GraphCatalog, convention: str = "automorphism"
-) -> int:
+def count_unordered(n: int, table: dict[int, Fraction]) -> int:
     """Unordered pairs: half of ``count_ordered``, checked there to be even."""
-    return count_ordered(n, catalog, convention) // 2
+    return count_ordered(n, table) // 2
 
 
 def format_rational(q: Fraction) -> str:

@@ -35,6 +35,12 @@ class SizeLimitError(ValueError):
     """An exhaustive operation was asked to run beyond its scale cap."""
 
 
+def check_cap(n: int, cap: int, size: str) -> None:
+    """Raise SizeLimitError, naming ``size``, if n is above ``cap``."""
+    if n > cap:
+        raise SizeLimitError(f"{size}; capped at n <= {cap}")
+
+
 def _checked_perm(p: Sequence[int], n: int, name: str, idx: int) -> Perm:
     t = tuple(p)
     if sorted(t) != list(range(1, n + 1)):
@@ -113,11 +119,7 @@ def enumerate_matrices(n: int) -> Iterator[SPermMatrix]:
     Order is lexicographic over the concatenated permutation words
     (row_perms first, then col_perms).  Refuses n above ``ENUMERATION_CAP``.
     """
-    if n > ENUMERATION_CAP:
-        raise SizeLimitError(
-            f"enumerating block order {n} means ({n}!)^{2 * n} matrices; "
-            f"capped at n <= {ENUMERATION_CAP}"
-        )
+    check_cap(n, ENUMERATION_CAP, f"enumerating block order {n} means ({n}!)^{2 * n} matrices")
     matrix_count(n)  # range check on n
     halves = list(product(_words(n), repeat=n))  # every n-tuple of permutations
     for rows, cols in product(halves, repeat=2):
@@ -131,11 +133,7 @@ def matrix_at(n: int, j: int) -> SPermMatrix:
     significant first, each digit the lexicographic rank of one permutation.
     Capped at ``ENUMERATION_CAP``, like the enumeration it indexes.
     """
-    if n > ENUMERATION_CAP:
-        raise SizeLimitError(
-            f"indexing block order {n} means ({n}!)^{2 * n} matrices; "
-            f"capped at n <= {ENUMERATION_CAP}"
-        )
+    check_cap(n, ENUMERATION_CAP, f"indexing block order {n} means ({n}!)^{2 * n} matrices")
     total = matrix_count(n)
     if not 0 <= j < total:
         raise IndexError(f"matrix index {j} outside 0..{total - 1}")
@@ -158,11 +156,8 @@ def cell_bitsets(n: int) -> list[int]:
     has image k at s, so a cell's bitset is the AND of those two digits'
     indicator patterns.  Capped at ``ENUMERATION_CAP``, like the enumeration.
     """
-    if n > ENUMERATION_CAP:
-        raise SizeLimitError(
-            f"cell bitsets at block order {n} mean {n ** 4} sets of "
-            f"({n}!)^{2 * n} bits; capped at n <= {ENUMERATION_CAP}"
-        )
+    size = f"cell bitsets at block order {n} mean {n ** 4} sets of ({n}!)^{2 * n} bits"
+    check_cap(n, ENUMERATION_CAP, size)
     total = matrix_count(n)
     words = _words(n)
     radix, digits = len(words), 2 * n

@@ -62,10 +62,11 @@ def histogram3():
 
 @pytest.fixture
 def odd_weight_table(monkeypatch, request):
-    """Add drop·(n!)^(-2(n+1)) to bucket 1 of every table count_ordered sums,
-    which lowers the ordered count by exactly ``drop`` (the indirect parameter,
-    default 1): at n = 2, 112 becomes 111, 223/2 with drop 1/2, -16 with 128."""
-    table = sp.formula.weight_table
+    """A ``weight_table`` that adds drop·(n!)^(-2(n+1)) to bucket 1, which
+    lowers the ordered count by exactly ``drop`` (the indirect parameter,
+    default 1): at n = 2, 112 becomes 111, 223/2 with drop 1/2, -16 with 128.
+    The cli's binding is patched too, so ``count`` sums the skewed table."""
+    table = sp.weight_table
     drop = getattr(request, "param", 1)
 
     def skewed(catalog, convention="automorphism"):
@@ -73,7 +74,8 @@ def odd_weight_table(monkeypatch, request):
         weights[1] += Fraction(drop, math.factorial(catalog.n) ** (2 * (catalog.n + 1)))
         return weights
 
-    monkeypatch.setattr(sp.formula, "weight_table", skewed)
+    monkeypatch.setattr("spairs.cli.weight_table", skewed)
+    return skewed
 
 
 # ---------------------------------------------------------------------------

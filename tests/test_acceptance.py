@@ -62,10 +62,10 @@ def test_criterion_02_weight_tables_bit_exact(acceptance_log, catalog2, catalog3
 
 def test_criterion_03_formula_totals(acceptance_log, catalog2, catalog3):
     got = (
-        sp.count_ordered(2, catalog2, "twin-classes"),
-        sp.count_unordered(2, catalog2, "twin-classes"),
-        sp.count_ordered(3, catalog3, "twin-classes"),
-        sp.count_unordered(3, catalog3, "twin-classes"),
+        sp.count_ordered(2, sp.weight_table(catalog2, "twin-classes")),
+        sp.count_unordered(2, sp.weight_table(catalog2, "twin-classes")),
+        sp.count_ordered(3, sp.weight_table(catalog3, "twin-classes")),
+        sp.count_unordered(3, sp.weight_table(catalog3, "twin-classes")),
     )
     ok = got == (144, 72, 1_260_085_248, 630_042_624)
     acceptance_log(
@@ -120,10 +120,10 @@ def test_criterion_04_stated_census_values(acceptance_log, census3):
 def test_criterion_05_formula_equals_census(acceptance_log, catalog2, catalog3, census3):
     result2 = sp.run_census(2)
     ok = (
-        sp.count_ordered(2, catalog2) == result2.ordered_pairs
-        and sp.count_unordered(2, catalog2) == result2.unordered_pairs
-        and sp.count_ordered(3, catalog3) == census3.ordered_pairs
-        and sp.count_unordered(3, catalog3) == census3.unordered_pairs
+        sp.count_ordered(2, sp.weight_table(catalog2)) == result2.ordered_pairs
+        and sp.count_unordered(2, sp.weight_table(catalog2)) == result2.unordered_pairs
+        and sp.count_ordered(3, sp.weight_table(catalog3)) == census3.ordered_pairs
+        and sp.count_unordered(3, sp.weight_table(catalog3)) == census3.unordered_pairs
     )
     acceptance_log(
         5,
@@ -255,8 +255,8 @@ def test_criterion_08_property_suite(acceptance_log, catalog2, catalog3, all_gri
 
 
 def test_criterion_09_order_4_formula_path(acceptance_log, catalog4, capsys):
-    ordered = sp.count_ordered(4, catalog4)
-    shortcut = sp.count_ordered(4, catalog4, "twin-classes")
+    ordered = sp.count_ordered(4, sp.weight_table(catalog4))
+    shortcut = sp.count_ordered(4, sp.weight_table(catalog4, "twin-classes"))
     code = cli_main(["count", "--n", "4", "--mode", "formula"])
     payload = json.loads(capsys.readouterr().out)["payload"]
     ok = (

@@ -1,7 +1,9 @@
 """The public surface that callers and the benchmark reach by name."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,3 +68,23 @@ def test_benchmark_hooks_resolve(spec, check, spans):
     assert result["rc"] == 0
     assert check(result["stdout"])
     assert spans <= {s["name"] for s in result["spans"]}
+
+
+def test_readme_quick_start_runs():
+    # every line runs in order; a line whose comment is a plain int or bool
+    # must evaluate to it
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    checked = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        literal = re.match(r"(\d+|True|False)(:|$)", comment.strip())
+        if literal:
+            value = ast.literal_eval(literal[1])
+            assert eval(code, scope) == value, line
+            checked.append(value)
+        else:
+            exec(code, scope)
+    assert checked == [838501632, 1260085248, 838501632, 33345, True, True]

@@ -17,6 +17,7 @@ from spairs import (
     from_edges,
     profile,
     to_dot,
+    weight_table,
 )
 
 # ordered disjoint pairs at block order 5, as the two catalog-free DPs of
@@ -248,7 +249,7 @@ class TestCatalog:
         assert [catalog5.sizes()[k] for k in range(26)] == half + half[::-1]
 
     def test_n5_ordered_count_matches_dp(self, catalog5):
-        assert count_ordered(5, catalog5) == ORDERED_5
+        assert count_ordered(5, weight_table(catalog5)) == ORDERED_5
 
     def test_scale_cap(self):
         with pytest.raises(SizeLimitError, match="2\\^36"):

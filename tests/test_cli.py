@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -196,8 +197,9 @@ class TestCount:
             "71871209790288983974921874964480000000000"
         )
 
-    def test_formula_builds_the_weight_table_twice(self, capsys, monkeypatch):
-        # once inside count_ordered, once for the printed bucket weights
+    @pytest.mark.parametrize("mode", ["formula", "both"])
+    def test_formula_builds_the_weight_table_once(self, capsys, monkeypatch, mode):
+        # count_ordered sums the table the printed bucket weights come from
         calls = []
 
         def counting(catalog, convention="automorphism"):
@@ -206,9 +208,26 @@ class TestCount:
 
         monkeypatch.setattr(formula, "weight_table", counting)
         monkeypatch.setattr(cli, "weight_table", counting)
-        code, _out, _err = run(capsys, "count", "--n", "2", "--mode", "formula")
+        code, _out, _err = run(capsys, "count", "--n", "2", "--mode", mode)
         assert code == 0
-        assert calls == [2, 2]
+        assert calls == [2]
+
+    @pytest.mark.parametrize("convention", ["automorphism", "twin-classes"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_printed_bucket_weights_give_the_printed_counts(self, capsys, n, convention):
+        # (n!)^(4n) + (n!)^(2(n+1)) · Σ_k (−1)^k w_k over the printed weights
+        code, doc, _err = run_json(
+            capsys, "count", "--n", str(n), "--mode", "formula", "--convention", convention
+        )
+        assert code == 0
+        block = doc["payload"]["formula"]
+        fact = math.factorial(n)
+        tail = sum(
+            (-1) ** bw["edges"] * Fraction(bw["weight"]) for bw in block["bucket_weights"]
+        )
+        ordered = fact ** (4 * n) + fact ** (2 * (n + 1)) * tail
+        assert str(ordered) == block["ordered_pairs"]
+        assert str(ordered / 2) == block["unordered_pairs"]
 
     def test_odd_formula_count_exits_3(self, capsys, odd_weight_table):
         code, out, err = run(capsys, "count", "--n", "2", "--mode", "formula")

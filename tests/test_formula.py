@@ -186,12 +186,12 @@ class TestCounts:
     @pytest.mark.parametrize("convention", ["automorphism", "twin-classes"])
     def test_ordered_and_unordered(self, n, convention, catalog2, catalog3):
         catalog = {2: catalog2, 3: catalog3}[n]
-        ordered = count_ordered(n, catalog, convention)
+        ordered = count_ordered(n, weight_table(catalog, convention))
         assert ordered == COUNTS[convention][n]
-        assert count_unordered(n, catalog, convention) == ordered // 2
+        assert count_unordered(n, weight_table(catalog, convention)) == ordered // 2
 
     def test_default_convention_is_automorphism(self, catalog2):
-        assert count_ordered(2, catalog2) == 112
+        assert count_ordered(2, weight_table(catalog2)) == 112
 
     def test_alternating_sum_assembly(self, catalog2):
         # ordered(2) = (2!)^8 + (2!)^6 * (-w1 + w2 - w3 + w4), per convention
@@ -206,11 +206,11 @@ class TestCounts:
 
     def test_counts_scale_against_matrix_population(self, catalog2):
         # 16 matrices, 7 disjoint partners each
-        assert count_ordered(2, catalog2) == matrix_count(2) * 7
+        assert count_ordered(2, weight_table(catalog2)) == matrix_count(2) * 7
 
     def test_n4_runs_exactly(self, catalog4):
-        ordered = count_ordered(4, catalog4)
-        shortcut = count_ordered(4, catalog4, "twin-classes")
+        ordered = count_ordered(4, weight_table(catalog4))
+        shortcut = count_ordered(4, weight_table(catalog4, "twin-classes"))
         assert ordered % 2 == 0 and shortcut % 2 == 0
         assert 0 < ordered < matrix_count(4) ** 2
         # the shortcut only ever inflates
@@ -218,7 +218,7 @@ class TestCounts:
 
     def test_odd_ordered_count_raises(self, odd_weight_table, catalog2):
         with pytest.raises(ArithmeticError, match="odd"):
-            count_ordered(2, catalog2)
+            count_ordered(2, odd_weight_table(catalog2))
 
     @pytest.mark.parametrize(
         "odd_weight_table, message",
@@ -230,15 +230,17 @@ class TestCounts:
         self, odd_weight_table, message, catalog2
     ):
         with pytest.raises(ArithmeticError, match=message):
-            count_ordered(2, catalog2)
+            count_ordered(2, odd_weight_table(catalog2))
 
     def test_input_validation(self, catalog2):
         catalog1 = enumerate_catalog(1)
-        assert count_ordered(1, catalog1) == run_census(1).ordered_pairs == 0
-        with pytest.raises(ValueError, match="side size 2"):
-            count_ordered(3, catalog2)
+        assert count_ordered(1, weight_table(catalog1)) == run_census(1).ordered_pairs == 0
+        with pytest.raises(ValueError, match=r"buckets are not 1\.\.9"):
+            count_ordered(3, weight_table(catalog2))
+        with pytest.raises(ValueError, match=">= 1"):
+            count_ordered(0, {})
         with pytest.raises(ValueError, match="unknown convention"):
-            count_ordered(2, catalog2, "orbit")
+            count_ordered(2, weight_table(catalog2, "orbit"))
 
 
 @pytest.mark.xfail(
@@ -248,13 +250,13 @@ class TestCounts:
 )
 def test_twin_convention_matches_census(catalog2):
     result = run_census(2)
-    assert count_ordered(2, catalog2, "twin-classes") == result.ordered_pairs
+    assert count_ordered(2, weight_table(catalog2, "twin-classes")) == result.ordered_pairs
 
 
 def test_automorphism_convention_matches_census(catalog2):
     result = run_census(2)
-    assert count_ordered(2, catalog2) == result.ordered_pairs
-    assert count_unordered(2, catalog2) == result.unordered_pairs
+    assert count_ordered(2, weight_table(catalog2)) == result.ordered_pairs
+    assert count_unordered(2, weight_table(catalog2)) == result.unordered_pairs
 
 
 def test_format_rational():
@@ -288,8 +290,8 @@ def test_monte_carlo_arbitrates_n4(catalog4):
     estimate = hits / trials
 
     pool = matrix_count(4) ** 2
-    p_auto = count_ordered(4, catalog4) / pool
-    p_twin = count_ordered(4, catalog4, "twin-classes") / pool
+    p_auto = count_ordered(4, weight_table(catalog4)) / pool
+    p_twin = count_ordered(4, weight_table(catalog4, "twin-classes")) / pool
     sigma = math.sqrt(p_auto * (1 - p_auto) / trials)
     assert abs(estimate - p_auto) < 5 * sigma
     assert abs(estimate - p_twin) > 20 * sigma
