@@ -11,7 +11,8 @@ Exit codes are frozen for CI use:
 
     0   success
     2   scale cap exceeded
-    3   cross-validation mismatch (formula vs census)
+    3   cross-validation mismatch (formula vs census) or internal
+        consistency failure (an odd pair sum, an uncleared denominator)
     4   invalid input (bad flags, malformed or invalid grid file)
 
 Everything that is not the requested output is written to stderr.
@@ -54,10 +55,6 @@ class _Parser(argparse.ArgumentParser):
     # so usage problems are remapped to exit 4 in main()
     def error(self, message):
         raise _UsageError(message)
-
-
-def _envelope(command: str, params: dict[str, Any], payload: Any) -> dict[str, Any]:
-    return {"command": command, "params": params, "payload": payload}
 
 
 def _family_json(family) -> list[dict[str, Any]]:
@@ -163,28 +160,33 @@ def _cmd_census(args) -> tuple[dict, dict]:
     return {"n": args.n}, payload
 
 
-def _cmd_sudoku(args) -> tuple[dict, dict]:
-    if args.action == "count":
-        total = count_grids(args.n)
-        return {"action": "count", "n": args.n}, {
-            "n": args.n,
-            "grid_count": str(total),
-        }
-    if args.action == "cliques":
-        cliques = count_cliques(args.n)
-        return {"action": "cliques", "n": args.n}, {
-            "n": args.n,
-            "clique_count": str(cliques),
-        }
-    if args.action == "decompose":
-        with open(args.grid_file, "r", encoding="utf-8") as fh:
-            grid = parse_grid(fh.read())
-        family = decompose(grid)
-        return {"action": "decompose", "grid_file": args.grid_file}, {
-            "n": grid.n,
-            "members": _family_json(family),
-        }
-    # sample
+def _cmd_grids(args) -> tuple[dict, dict]:
+    total = count_grids(args.n)
+    return {"action": "count", "n": args.n}, {
+        "n": args.n,
+        "grid_count": str(total),
+    }
+
+
+def _cmd_cliques(args) -> tuple[dict, dict]:
+    cliques = count_cliques(args.n)
+    return {"action": "cliques", "n": args.n}, {
+        "n": args.n,
+        "clique_count": str(cliques),
+    }
+
+
+def _cmd_decompose(args) -> tuple[dict, dict]:
+    with open(args.grid_file, "r", encoding="utf-8") as fh:
+        grid = parse_grid(fh.read())
+    family = decompose(grid)
+    return {"action": "decompose", "grid_file": args.grid_file}, {
+        "n": grid.n,
+        "members": _family_json(family),
+    }
+
+
+def _cmd_sample(args) -> tuple[dict, dict]:
     family = sample_family(args.n, args.seed)
     return {"action": "sample", "n": args.n, "seed": args.seed}, {
         "n": args.n,
@@ -224,7 +226,8 @@ def _table_graphs(payload: dict) -> str:
 
 def _dot_graphs(payload: dict) -> str:
     n = payload["n"]
-    return "\n".join(to_dot(Bigraph(n, int(g["code"], 16))) for g in payload["graphs"])
+    dots = (to_dot(Bigraph(n, int(g["code"], 16))) for g in payload["graphs"])
+    return "\n".join(dots) + "\n"
 
 
 def _table_pairs(block: dict, title: str) -> list[str]:
@@ -275,16 +278,8 @@ def _table_sudoku(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TABLES = {
-    "graphs": _table_graphs,
-    "count": _table_count,
-    "census": _table_census,
-    "sudoku": _table_sudoku,
-}
-
-
 # ---------------------------------------------------------------------------
-# Parser and dispatch
+# Parser: each leaf subcommand carries its handler (run) and renderer (table)
 # ---------------------------------------------------------------------------
 
 
@@ -292,72 +287,74 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="spairs", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("graphs", help="catalog of bipartite graph classes")
-    p.add_argument("--n", type=int, default=2, help=f"side size (cap {CATALOG_CAP})")
-    p.add_argument("--format", choices=["json", "table", "dot"], default="json")
-    p.add_argument("--out", metavar="FILE", help="write output to FILE")
+    graphs = sub.add_parser("graphs", help="catalog of bipartite graph classes")
+    graphs.set_defaults(run=_cmd_graphs, table=_table_graphs)
+    graphs.add_argument(
+        "--n", type=int, default=2, help=f"side size (cap {CATALOG_CAP})"
+    )
 
-    p = sub.add_parser("count", help="disjoint-pair counts, formula and/or census")
-    p.add_argument("--n", type=int, default=2, help="block order")
-    p.add_argument(
+    count = sub.add_parser("count", help="disjoint-pair counts, formula and/or census")
+    count.set_defaults(run=_cmd_count, table=_table_count)
+    count.add_argument("--n", type=int, default=2, help="block order")
+    count.add_argument(
         "--mode",
         choices=["formula", "census", "both"],
         default="both",
         help="both cross-validates and exits 3 on mismatch (default)",
     )
-    p.add_argument(
+    count.add_argument(
         "--convention",
         choices=list(CONVENTIONS),
         default="automorphism",
         help="weight denominator: automorphism (census-verified) or "
         "twin-classes (shortcut tables; census refutes its totals)",
     )
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--out", metavar="FILE")
 
-    p = sub.add_parser("census", help="brute-force pair census with timing")
-    p.add_argument("--n", type=int, default=2, help=f"block order (cap {CENSUS_CAP})")
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--out", metavar="FILE")
+    census = sub.add_parser("census", help="brute-force pair census with timing")
+    census.set_defaults(run=_cmd_census, table=_table_census)
+    census.add_argument(
+        "--n", type=int, default=2, help=f"block order (cap {CENSUS_CAP})"
+    )
 
-    p = sub.add_parser("sudoku", help="Sudoku-matrix layer")
-    action = p.add_subparsers(dest="action", required=True)
+    # only the action parsers carry defaults: a group parser's defaults and
+    # its subparsers' defaults override each other differently across Pythons
+    action = sub.add_parser("sudoku", help="Sudoku-matrix layer").add_subparsers(
+        dest="action", required=True
+    )
 
     a = action.add_parser("count", help=f"exhaustive grid count (n <= {GRID_CAP})")
+    a.set_defaults(run=_cmd_grids, table=_table_sudoku)
     a.add_argument("--n", type=int, default=2)
 
     a = action.add_parser(
         "cliques", help=f"complete disjoint families (n <= {GRID_CAP})"
     )
+    a.set_defaults(run=_cmd_cliques, table=_table_sudoku)
     a.add_argument("--n", type=int, default=2)
 
     a = action.add_parser("decompose", help="split a grid file into layers")
+    a.set_defaults(run=_cmd_decompose, table=_table_sudoku)
     a.add_argument("grid_file")
 
     a = action.add_parser("sample", help="randomized disjoint-family growth")
+    a.set_defaults(run=_cmd_sample, table=_table_sudoku)
     a.add_argument("--n", type=int, default=2)
     a.add_argument("--seed", type=int, default=0)
 
-    for a in action.choices.values():
-        a.add_argument("--format", choices=["json", "table"], default="json")
-        a.add_argument("--out", metavar="FILE")
+    for leaf in (graphs, count, census, *action.choices.values()):
+        formats = ["json", "table", "dot"] if leaf is graphs else ["json", "table"]
+        leaf.add_argument("--format", choices=formats, default="json")
+        leaf.add_argument("--out", metavar="FILE", help="write output to FILE")
     return parser
 
 
-_COMMANDS = {
-    "graphs": _cmd_graphs,
-    "count": _cmd_count,
-    "census": _cmd_census,
-    "sudoku": _cmd_sudoku,
-}
-
-
-def _render(command: str, args, params: dict, payload: dict) -> str:
+def _render(args, params: dict, payload: dict) -> str:
     if args.format == "json":
-        return json.dumps(_envelope(command, params, payload), indent=2) + "\n"
+        envelope = {"command": args.command, "params": params, "payload": payload}
+        return json.dumps(envelope, indent=2) + "\n"
     if args.format == "dot":
         return _dot_graphs(payload)
-    return _TABLES[command](payload)
+    return args.table(payload)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -379,8 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 4
 
     try:
-        params, payload = _COMMANDS[args.command](args)
-        _emit(_render(args.command, args, params, payload), args.out)
+        params, payload = args.run(args)
+        _emit(_render(args, params, payload), args.out)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

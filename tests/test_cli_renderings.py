@@ -1,0 +1,211 @@
+"""Golden renderings: the full text every leaf subcommand prints, byte for byte.
+
+Each case runs one leaf at a small input and compares stdout with the
+expected text.  The census's `elapsed seconds` line is the one field that
+varies by run, so it is masked before the comparison.  A last test walks
+the parser and fails if a leaf subcommand has no case here.
+"""
+
+import argparse
+import re
+
+import pytest
+
+from spairs.cli import build_parser, main
+
+GRID_4X4 = "2\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
+
+COUNT_TABLE = """\
+block order 2, mode both
+formula (automorphism)
+  ordered pairs    112
+  unordered pairs  56
+  bucket 1: 4/1
+  bucket 2: 5/2
+  bucket 3: 1/1
+  bucket 4: 1/4
+census
+  ordered pairs    112
+  unordered pairs  56
+match: true
+"""
+
+COUNT_JSON = """\
+{
+  "command": "count",
+  "params": {
+    "n": 2,
+    "mode": "both",
+    "convention": "automorphism"
+  },
+  "payload": {
+    "n": 2,
+    "mode": "both",
+    "formula": {
+      "convention": "automorphism",
+      "ordered_pairs": "112",
+      "unordered_pairs": "56",
+      "matrix_count": "16",
+      "bucket_weights": [
+        {
+          "edges": 1,
+          "weight": "4/1"
+        },
+        {
+          "edges": 2,
+          "weight": "5/2"
+        },
+        {
+          "edges": 3,
+          "weight": "1/1"
+        },
+        {
+          "edges": 4,
+          "weight": "1/4"
+        }
+      ]
+    },
+    "census": {
+      "ordered_pairs": "112",
+      "unordered_pairs": "56",
+      "matrices_scanned": "16"
+    },
+    "match": true
+  }
+}
+"""
+
+COUNT_TWIN_FORMULA_TABLE = """\
+block order 2, mode formula
+formula (twin-classes)
+  ordered pairs    144
+  unordered pairs  72
+  bucket 1: 4/1
+  bucket 2: 3/1
+  bucket 3: 1/1
+  bucket 4: 1/4
+"""
+
+CENSUS_TABLE = """\
+block order 2
+matrices scanned 16
+ordered pairs    112
+unordered pairs  56
+elapsed seconds  <masked>
+"""
+
+GRAPHS_TABLE = """\
+side size 2: 7 classes over 16 labeled graphs
+edges  code   orbit  aut    weight   twin wt  profile
+    0  0          1    4       4/1       4/1  degrees [4, 0, 0] twins [2, 2]
+    1  1          4    1       4/1       4/1  degrees [2, 2, 0] twins [1, 1, 1, 1]
+    2  3          2    2       1/1       1/1  degrees [1, 2, 1] twins [1, 1, 2]
+    2  5          2    2       1/1       1/1  degrees [1, 2, 1] twins [1, 1, 2]
+    2  6          2    2       1/2       1/1  degrees [0, 4, 0] twins [1, 1, 1, 1]
+    3  7          4    1       1/1       1/1  degrees [0, 2, 2] twins [1, 1, 1, 1]
+    4  f          1    4       1/4       1/4  degrees [0, 0, 4] twins [2, 2]
+"""
+
+# like every other rendering, the dot text ends in a newline
+GRAPHS_DOT = """\
+graph "g_0" {
+  rankdir=LR;
+  r1 [shape=point];
+  c1 [shape=circle, label=""];
+}
+graph "g_1" {
+  rankdir=LR;
+  r1 [shape=point];
+  c1 [shape=circle, label=""];
+  r1 -- c1;
+}
+"""
+
+SUDOKU_COUNT_TABLE = "n 2\ngrid_count 288\n"
+
+SUDOKU_CLIQUES_TABLE = "n 2\nclique_count 12\n"
+
+SUDOKU_SAMPLE_TABLE = """\
+n 2
+size 4
+complete true
+member 1: (2,1) (1,3) (4,2) (3,4)
+member 2: (2,2) (1,4) (4,1) (3,3)
+member 3: (1,2) (2,4) (3,1) (4,3)
+member 4: (1,1) (2,3) (3,2) (4,4)
+"""
+
+SUDOKU_DECOMPOSE_TABLE = """\
+n 2
+member 1: (1,1) (2,3) (3,2) (4,4)
+member 2: (1,2) (2,4) (3,1) (4,3)
+member 3: (2,1) (1,3) (4,2) (3,4)
+member 4: (2,2) (1,4) (4,1) (3,3)
+"""
+
+# "{grid}" stands for a file holding GRID_4X4
+CASES = [
+    pytest.param(("count", "--n", "2", "--format", "table"), COUNT_TABLE, id="count"),
+    pytest.param(("count", "--n", "2"), COUNT_JSON, id="count-json"),
+    pytest.param(
+        ("count", "--n", "2", "--mode", "formula", "--convention", "twin-classes",
+         "--format", "table"),
+        COUNT_TWIN_FORMULA_TABLE,
+        id="count-twin-formula",
+    ),
+    pytest.param(("census", "--n", "2", "--format", "table"), CENSUS_TABLE, id="census"),
+    pytest.param(("graphs", "--n", "2", "--format", "table"), GRAPHS_TABLE, id="graphs"),
+    pytest.param(("graphs", "--n", "1", "--format", "dot"), GRAPHS_DOT, id="graphs-dot"),
+    pytest.param(
+        ("sudoku", "count", "--n", "2", "--format", "table"),
+        SUDOKU_COUNT_TABLE,
+        id="sudoku-count",
+    ),
+    pytest.param(
+        ("sudoku", "cliques", "--n", "2", "--format", "table"),
+        SUDOKU_CLIQUES_TABLE,
+        id="sudoku-cliques",
+    ),
+    pytest.param(
+        ("sudoku", "sample", "--n", "2", "--seed", "0", "--format", "table"),
+        SUDOKU_SAMPLE_TABLE,
+        id="sudoku-sample",
+    ),
+    pytest.param(
+        ("sudoku", "decompose", "{grid}", "--format", "table"),
+        SUDOKU_DECOMPOSE_TABLE,
+        id="sudoku-decompose",
+    ),
+]
+
+
+def _leaves(parser: argparse.ArgumentParser, path: tuple = ()) -> list[tuple]:
+    """Command paths of the parsers that take no further subcommand."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return [path]
+    return [
+        leaf
+        for group in groups
+        for name, child in group.choices.items()
+        for leaf in _leaves(child, path + (name,))
+    ]
+
+
+@pytest.mark.parametrize("argv, expected", CASES)
+def test_rendering_is_byte_identical(capsys, tmp_path, argv, expected):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(GRID_4X4)
+    code = main([str(grid) if arg == "{grid}" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    out = re.sub(r"(?m)^(elapsed seconds  )\d+\.\d{3}$", r"\1<masked>", captured.out)
+    assert out == expected
+
+
+def test_every_leaf_subcommand_has_a_case():
+    leaves = _leaves(build_parser())
+    assert ("sudoku", "decompose") in leaves
+    argvs = [case.values[0] for case in CASES]
+    covered = {leaf for leaf in leaves for argv in argvs if argv[: len(leaf)] == leaf}
+    assert covered == set(leaves)
