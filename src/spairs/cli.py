@@ -1,11 +1,11 @@
 """Command-line surface.
 
-Subcommands: graphs, count, census, sudoku.  Output goes to stdout (or the
---out file) and is pure JSON under --format json: an envelope with the
-command name, a parameter echo, and a payload.  Computed counts and weights
-are serialized as decimal strings ("144", "1/4") so consumers without big
-integers survive; small structural integers (n, k, sizes, echoed flags)
-stay plain JSON numbers.
+Subcommands: graphs, count, census, sudoku.  Output goes to stdout and is
+pure JSON under --format json: an envelope with the command name, a params
+echo of every parsed argument except --format, and a payload.  Computed
+counts and weights are serialized as decimal strings ("144", "1/4") so
+consumers without big integers survive; small structural integers (n, k,
+sizes, echoed flags) stay plain JSON numbers.
 
 Exit codes are frozen for CI use:
 
@@ -70,11 +70,11 @@ def _family_json(family) -> list[dict[str, Any]]:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (params echo, payload)
+# Command implementations: each returns its payload
 # ---------------------------------------------------------------------------
 
 
-def _cmd_graphs(args) -> tuple[dict, dict]:
+def _cmd_graphs(args) -> dict:
     catalog = enumerate_catalog(args.n)
     graphs = [
         {
@@ -89,7 +89,7 @@ def _cmd_graphs(args) -> tuple[dict, dict]:
         }
         for k, e in catalog.entries()
     ]
-    payload = {
+    return {
         "n": args.n,
         "class_count": len(graphs),
         "labeled_graph_count": str(1 << (args.n * args.n)),
@@ -98,7 +98,6 @@ def _cmd_graphs(args) -> tuple[dict, dict]:
         ],
         "graphs": graphs,
     }
-    return {"n": args.n, "format": args.format}, payload
 
 
 def _formula_block(n: int, convention: str) -> dict[str, Any]:
@@ -125,8 +124,7 @@ def _census_block(n: int) -> dict[str, Any]:
     }
 
 
-def _cmd_count(args) -> tuple[dict, dict]:
-    params = {"n": args.n, "mode": args.mode, "convention": args.convention}
+def _cmd_count(args) -> dict:
     payload: dict[str, Any] = {"n": args.n, "mode": args.mode}
     if args.n < 1:  # invalid input in every mode
         raise ValueError(f"block order must be >= 1, got {args.n}")
@@ -144,12 +142,12 @@ def _cmd_count(args) -> tuple[dict, dict]:
             and payload["formula"]["unordered_pairs"]
             == payload["census"]["unordered_pairs"]
         )
-    return params, payload
+    return payload
 
 
-def _cmd_census(args) -> tuple[dict, dict]:
+def _cmd_census(args) -> dict:
     res = run_census(args.n)
-    payload = {
+    return {
         "n": res.n,
         "matrices_scanned": str(res.matrices_scanned),
         "ordered_pairs": str(res.ordered_pairs),
@@ -157,38 +155,26 @@ def _cmd_census(args) -> tuple[dict, dict]:
         # measurement, not a count; the one payload field that varies by run
         "elapsed_seconds": f"{res.elapsed_seconds:.3f}",
     }
-    return {"n": args.n}, payload
 
 
-def _cmd_grids(args) -> tuple[dict, dict]:
-    total = count_grids(args.n)
-    return {"action": "count", "n": args.n}, {
-        "n": args.n,
-        "grid_count": str(total),
-    }
+def _cmd_grids(args) -> dict:
+    return {"n": args.n, "grid_count": str(count_grids(args.n))}
 
 
-def _cmd_cliques(args) -> tuple[dict, dict]:
-    cliques = count_cliques(args.n)
-    return {"action": "cliques", "n": args.n}, {
-        "n": args.n,
-        "clique_count": str(cliques),
-    }
+def _cmd_cliques(args) -> dict:
+    return {"n": args.n, "clique_count": str(count_cliques(args.n))}
 
 
-def _cmd_decompose(args) -> tuple[dict, dict]:
-    with open(args.grid_file, "r", encoding="utf-8") as fh:
+def _cmd_decompose(args) -> dict:
+    # utf-8-sig: a grid saved with a byte-order mark parses like one without
+    with open(args.grid_file, "r", encoding="utf-8-sig") as fh:
         grid = parse_grid(fh.read())
-    family = decompose(grid)
-    return {"action": "decompose", "grid_file": args.grid_file}, {
-        "n": grid.n,
-        "members": _family_json(family),
-    }
+    return {"n": grid.n, "members": _family_json(decompose(grid))}
 
 
-def _cmd_sample(args) -> tuple[dict, dict]:
+def _cmd_sample(args) -> dict:
     family = sample_family(args.n, args.seed)
-    return {"action": "sample", "n": args.n, "seed": args.seed}, {
+    return {
         "n": args.n,
         "size": len(family.members),
         "complete": family.complete,
@@ -344,25 +330,21 @@ def build_parser() -> _Parser:
     for leaf in (graphs, count, census, *action.choices.values()):
         formats = ["json", "table", "dot"] if leaf is graphs else ["json", "table"]
         leaf.add_argument("--format", choices=formats, default="json")
-        leaf.add_argument("--out", metavar="FILE", help="write output to FILE")
     return parser
 
 
-def _render(args, params: dict, payload: dict) -> str:
+# not echoed: the command heads the envelope, the rest select code or format
+_UNECHOED = ("command", "format", "run", "table")
+
+
+def _render(args, payload: dict) -> str:
     if args.format == "json":
+        params = {k: v for k, v in vars(args).items() if k not in _UNECHOED}
         envelope = {"command": args.command, "params": params, "payload": payload}
         return json.dumps(envelope, indent=2) + "\n"
     if args.format == "dot":
         return _dot_graphs(payload)
     return args.table(payload)
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -376,8 +358,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 4
 
     try:
-        params, payload = args.run(args)
-        _emit(_render(args, params, payload), args.out)
+        payload = args.run(args)
+        sys.stdout.write(_render(args, payload))
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,7 @@ the parser and fails if a leaf subcommand has no case here.
 """
 
 import argparse
+import json
 import re
 
 import pytest
@@ -143,6 +144,66 @@ member 3: (2,1) (1,3) (4,2) (3,4)
 member 4: (2,2) (1,4) (4,1) (3,3)
 """
 
+
+def _envelope(command: str, params: dict, payload: dict) -> str:
+    # COUNT_JSON pins the JSON layout itself; these pin keys and their order
+    doc = {"command": command, "params": params, "payload": payload}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _graph(edges: int, degree_counts: list) -> dict:
+    return {
+        "edges": edges,
+        "code": str(edges),
+        "degree_counts": degree_counts,
+        "twin_class_sizes": [1, 1],
+        "orbit_size": 1,
+        "automorphism_order": 1,
+        "weight": "1/1",
+        "twin_class_weight": "1/1",
+    }
+
+
+# params echoes the parsed arguments except --format
+GRAPHS_JSON = _envelope(
+    "graphs",
+    {"n": 1},
+    {
+        "n": 1,
+        "class_count": 2,
+        "labeled_graph_count": "2",
+        "bucket_sizes": [{"edges": 0, "classes": 1}, {"edges": 1, "classes": 1}],
+        "graphs": [_graph(0, [2, 0]), _graph(1, [0, 2])],
+    },
+)
+
+
+def _member(value: int, row_perm: list, col_perm: list, cells: list) -> dict:
+    return {
+        "value": value,
+        "row_perms": [row_perm, row_perm],
+        "col_perms": [col_perm, col_perm],
+        "cells": cells,
+    }
+
+
+# the action leads the echo, then the action's arguments in declaration order
+SUDOKU_SAMPLE_JSON = _envelope(
+    "sudoku",
+    {"action": "sample", "n": 2, "seed": 0},
+    {
+        "n": 2,
+        "size": 4,
+        "complete": True,
+        "members": [
+            _member(1, [2, 1], [1, 2], [[2, 1], [1, 3], [4, 2], [3, 4]]),
+            _member(2, [2, 1], [2, 1], [[2, 2], [1, 4], [4, 1], [3, 3]]),
+            _member(3, [1, 2], [2, 1], [[1, 2], [2, 4], [3, 1], [4, 3]]),
+            _member(4, [1, 2], [1, 2], [[1, 1], [2, 3], [3, 2], [4, 4]]),
+        ],
+    },
+)
+
 # "{grid}" stands for a file holding GRID_4X4
 CASES = [
     pytest.param(("count", "--n", "2", "--format", "table"), COUNT_TABLE, id="count"),
@@ -156,6 +217,7 @@ CASES = [
     pytest.param(("census", "--n", "2", "--format", "table"), CENSUS_TABLE, id="census"),
     pytest.param(("graphs", "--n", "2", "--format", "table"), GRAPHS_TABLE, id="graphs"),
     pytest.param(("graphs", "--n", "1", "--format", "dot"), GRAPHS_DOT, id="graphs-dot"),
+    pytest.param(("graphs", "--n", "1"), GRAPHS_JSON, id="graphs-json"),
     pytest.param(
         ("sudoku", "count", "--n", "2", "--format", "table"),
         SUDOKU_COUNT_TABLE,
@@ -170,6 +232,11 @@ CASES = [
         ("sudoku", "sample", "--n", "2", "--seed", "0", "--format", "table"),
         SUDOKU_SAMPLE_TABLE,
         id="sudoku-sample",
+    ),
+    pytest.param(
+        ("sudoku", "sample", "--n", "2", "--seed", "0"),
+        SUDOKU_SAMPLE_JSON,
+        id="sudoku-sample-json",
     ),
     pytest.param(
         ("sudoku", "decompose", "{grid}", "--format", "table"),
