@@ -5,7 +5,8 @@ pure JSON under --format json: an envelope with the command name, a params
 echo of every parsed argument except --format, and a payload.  Computed
 counts and weights are serialized as decimal strings ("144", "1/4") so
 consumers without big integers survive; small structural integers (n, k,
-sizes, echoed flags) stay plain JSON numbers.
+sizes, echoed flags) stay plain JSON numbers.  --format table prints each
+payload field under its JSON name; graphs keeps its columns and adds dot.
 
 Exit codes are frozen for CI use:
 
@@ -216,52 +217,29 @@ def _dot_graphs(payload: dict) -> str:
     return "\n".join(dots) + "\n"
 
 
-def _table_pairs(block: dict, title: str) -> list[str]:
-    lines = [title]
-    lines.append(f"  ordered pairs    {block['ordered_pairs']}")
-    lines.append(f"  unordered pairs  {block['unordered_pairs']}")
-    return lines
-
-
-def _table_count(payload: dict) -> str:
-    lines = [f"block order {payload['n']}, mode {payload['mode']}"]
-    if "formula" in payload:
-        lines += _table_pairs(
-            payload["formula"], f"formula ({payload['formula']['convention']})"
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):  # ["a", "b"] -> a b; [[1, 2], [3, 4]] -> (1,2) (3,4)
+        return " ".join(
+            f"({','.join(map(_text, v))})" if isinstance(v, list) else _text(v)
+            for v in value
         )
-        lines += [
-            f"  bucket {bw['edges']}: {bw['weight']}"
-            for bw in payload["formula"]["bucket_weights"]
-        ]
-    if "census" in payload:
-        lines += _table_pairs(payload["census"], "census")
-    if "match" in payload:
-        lines.append(f"match: {str(payload['match']).lower()}")
-    if "note" in payload:
-        lines.append(f"note: {payload['note']}")
-    return "\n".join(lines) + "\n"
+    return str(value)
 
 
-def _table_census(payload: dict) -> str:
-    return (
-        f"block order {payload['n']}\n"
-        f"matrices scanned {payload['matrices_scanned']}\n"
-        f"ordered pairs    {payload['ordered_pairs']}\n"
-        f"unordered pairs  {payload['unordered_pairs']}\n"
-        f"elapsed seconds  {payload['elapsed_seconds']}\n"
-    )
-
-
-def _table_sudoku(payload: dict) -> str:
-    lines = []
-    for key in ("n", "grid_count", "clique_count", "size", "complete"):
-        if key in payload:
-            lines.append(f"{key} {str(payload[key]).lower()}")
-    if "members" in payload:
-        for m in payload["members"]:
-            cells = " ".join(f"({r},{c})" for r, c in m["cells"])
-            lines.append(f"member {m['value']}: {cells}")
-    return "\n".join(lines) + "\n"
+def _table(payload: dict, indent: str = "") -> str:
+    """Each field under its JSON name; nested dicts print two spaces deeper."""
+    text = ""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            text += f"{indent}{key}\n" + _table(value, indent + "  ")
+        elif isinstance(value, list) and all(isinstance(v, dict) for v in value):
+            items = ("  ".join(f"{k} {_text(v)}" for k, v in i.items()) for i in value)
+            text += f"{indent}{key}\n" + "".join(f"{indent}  {i}\n" for i in items)
+        else:
+            text += f"{indent}{key} {_text(value)}\n"
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +252,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     graphs = sub.add_parser("graphs", help="catalog of bipartite graph classes")
-    graphs.set_defaults(run=_cmd_graphs, table=_table_graphs)
+    graphs.set_defaults(run=_cmd_graphs)
     graphs.add_argument(
         "--n", type=int, default=2, help=f"side size (cap {CATALOG_CAP})"
     )
 
     count = sub.add_parser("count", help="disjoint-pair counts, formula and/or census")
-    count.set_defaults(run=_cmd_count, table=_table_count)
+    count.set_defaults(run=_cmd_count)
     count.add_argument("--n", type=int, default=2, help="block order")
     count.add_argument(
         "--mode",
@@ -297,7 +275,7 @@ def build_parser() -> _Parser:
     )
 
     census = sub.add_parser("census", help="brute-force pair census with timing")
-    census.set_defaults(run=_cmd_census, table=_table_census)
+    census.set_defaults(run=_cmd_census)
     census.add_argument(
         "--n", type=int, default=2, help=f"block order (cap {CENSUS_CAP})"
     )
@@ -309,27 +287,29 @@ def build_parser() -> _Parser:
     )
 
     a = action.add_parser("count", help=f"exhaustive grid count (n <= {GRID_CAP})")
-    a.set_defaults(run=_cmd_grids, table=_table_sudoku)
+    a.set_defaults(run=_cmd_grids)
     a.add_argument("--n", type=int, default=2)
 
     a = action.add_parser(
         "cliques", help=f"complete disjoint families (n <= {GRID_CAP})"
     )
-    a.set_defaults(run=_cmd_cliques, table=_table_sudoku)
+    a.set_defaults(run=_cmd_cliques)
     a.add_argument("--n", type=int, default=2)
 
     a = action.add_parser("decompose", help="split a grid file into layers")
-    a.set_defaults(run=_cmd_decompose, table=_table_sudoku)
+    a.set_defaults(run=_cmd_decompose)
     a.add_argument("grid_file")
 
     a = action.add_parser("sample", help="randomized disjoint-family growth")
-    a.set_defaults(run=_cmd_sample, table=_table_sudoku)
+    a.set_defaults(run=_cmd_sample)
     a.add_argument("--n", type=int, default=2)
     a.add_argument("--seed", type=int, default=0)
 
+    # graphs alone keeps its own text layouts: the paper's columns and dot
     for leaf in (graphs, count, census, *action.choices.values()):
         formats = ["json", "table", "dot"] if leaf is graphs else ["json", "table"]
         leaf.add_argument("--format", choices=formats, default="json")
+        leaf.set_defaults(table=_table_graphs if leaf is graphs else _table)
     return parser
 
 

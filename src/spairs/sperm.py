@@ -43,7 +43,8 @@ def check_cap(n: int, cap: int, size: str) -> None:
 
 def _checked_perm(p: Sequence[int], n: int, name: str, idx: int) -> Perm:
     t = tuple(p)
-    if sorted(t) != list(range(1, n + 1)):
+    # True == 1.0 == 1, so only the type tells a bool or a float from an index
+    if any(type(v) is not int for v in t) or sorted(t) != list(range(1, n + 1)):
         raise ValueError(f"{name}[{idx}] is not a permutation of 1..{n}: {t!r}")
     return t
 

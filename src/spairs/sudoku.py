@@ -80,7 +80,7 @@ class DisjointFamily(_FamilyFields):
             for j in range(i + 1, len(masks)):
                 if masks[i] & masks[j]:
                     raise ValueError(f"members {i} and {j} overlap")
-        return super().__new__(cls, n, members)
+        return super().__new__(cls, n, tuple(members))  # a tuple, so it hashes
 
     @property
     def complete(self) -> bool:
@@ -95,7 +95,8 @@ def _check_shape(grid: SudokuGrid) -> None:
         if len(row) != n2:
             raise GridFormatError(f"row {r + 1} has {len(row)} entries, expected {n2}")
         for c, v in enumerate(row):
-            if not (isinstance(v, int) and 1 <= v <= n2):
+            # type, not isinstance: bool is an int subclass, and True == 1
+            if not (type(v) is int and 1 <= v <= n2):
                 raise GridFormatError(
                     f"cell ({r + 1}, {c + 1}) holds {v!r}, expected 1..{n2}"
                 )

@@ -1,9 +1,10 @@
 """Golden renderings: the full text every leaf subcommand prints, byte for byte.
 
 Each case runs one leaf at a small input and compares stdout with the
-expected text.  The census's `elapsed seconds` line is the one field that
-varies by run, so it is masked before the comparison.  A last test walks
-the parser and fails if a leaf subcommand has no case here.
+expected text.  The census's `elapsed_seconds` line is the one field that
+varies by run, so it is masked before the comparison.  Every table but
+graphs' labels each field with its JSON key, and a last test walks the
+parser and fails if a leaf subcommand has no case here.
 """
 
 import argparse
@@ -12,23 +13,28 @@ import re
 
 import pytest
 
-from spairs.cli import build_parser, main
+from spairs.cli import _table, build_parser, main
 
 GRID_4X4 = "2\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
 
 COUNT_TABLE = """\
-block order 2, mode both
-formula (automorphism)
-  ordered pairs    112
-  unordered pairs  56
-  bucket 1: 4/1
-  bucket 2: 5/2
-  bucket 3: 1/1
-  bucket 4: 1/4
+n 2
+mode both
+formula
+  convention automorphism
+  ordered_pairs 112
+  unordered_pairs 56
+  matrix_count 16
+  bucket_weights
+    edges 1  weight 4/1
+    edges 2  weight 5/2
+    edges 3  weight 1/1
+    edges 4  weight 1/4
 census
-  ordered pairs    112
-  unordered pairs  56
-match: true
+  ordered_pairs 112
+  unordered_pairs 56
+  matrices_scanned 16
+match true
 """
 
 COUNT_JSON = """\
@@ -77,22 +83,26 @@ COUNT_JSON = """\
 """
 
 COUNT_TWIN_FORMULA_TABLE = """\
-block order 2, mode formula
-formula (twin-classes)
-  ordered pairs    144
-  unordered pairs  72
-  bucket 1: 4/1
-  bucket 2: 3/1
-  bucket 3: 1/1
-  bucket 4: 1/4
+n 2
+mode formula
+formula
+  convention twin-classes
+  ordered_pairs 144
+  unordered_pairs 72
+  matrix_count 16
+  bucket_weights
+    edges 1  weight 4/1
+    edges 2  weight 3/1
+    edges 3  weight 1/1
+    edges 4  weight 1/4
 """
 
 CENSUS_TABLE = """\
-block order 2
-matrices scanned 16
-ordered pairs    112
-unordered pairs  56
-elapsed seconds  <masked>
+n 2
+matrices_scanned 16
+ordered_pairs 112
+unordered_pairs 56
+elapsed_seconds <masked>
 """
 
 GRAPHS_TABLE = """\
@@ -130,18 +140,20 @@ SUDOKU_SAMPLE_TABLE = """\
 n 2
 size 4
 complete true
-member 1: (2,1) (1,3) (4,2) (3,4)
-member 2: (2,2) (1,4) (4,1) (3,3)
-member 3: (1,2) (2,4) (3,1) (4,3)
-member 4: (1,1) (2,3) (3,2) (4,4)
+members
+  value 1  row_perms (2,1) (2,1)  col_perms (1,2) (1,2)  cells (2,1) (1,3) (4,2) (3,4)
+  value 2  row_perms (2,1) (2,1)  col_perms (2,1) (2,1)  cells (2,2) (1,4) (4,1) (3,3)
+  value 3  row_perms (1,2) (1,2)  col_perms (2,1) (2,1)  cells (1,2) (2,4) (3,1) (4,3)
+  value 4  row_perms (1,2) (1,2)  col_perms (1,2) (1,2)  cells (1,1) (2,3) (3,2) (4,4)
 """
 
 SUDOKU_DECOMPOSE_TABLE = """\
 n 2
-member 1: (1,1) (2,3) (3,2) (4,4)
-member 2: (1,2) (2,4) (3,1) (4,3)
-member 3: (2,1) (1,3) (4,2) (3,4)
-member 4: (2,2) (1,4) (4,1) (3,3)
+members
+  value 1  row_perms (1,2) (1,2)  col_perms (1,2) (1,2)  cells (1,1) (2,3) (3,2) (4,4)
+  value 2  row_perms (1,2) (1,2)  col_perms (2,1) (2,1)  cells (1,2) (2,4) (3,1) (4,3)
+  value 3  row_perms (2,1) (2,1)  col_perms (1,2) (1,2)  cells (2,1) (1,3) (4,2) (3,4)
+  value 4  row_perms (2,1) (2,1)  col_perms (2,1) (2,1)  cells (2,2) (1,4) (4,1) (3,3)
 """
 
 
@@ -246,6 +258,15 @@ CASES = [
 ]
 
 
+def _keys(value) -> set:
+    """Every key of a JSON value, with those nested in dicts and list items."""
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_keys, value))
+    return set()
+
+
 def _leaves(parser: argparse.ArgumentParser, path: tuple = ()) -> list[tuple]:
     """Command paths of the parsers that take no further subcommand."""
     groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -266,8 +287,47 @@ def test_rendering_is_byte_identical(capsys, tmp_path, argv, expected):
     code = main([str(grid) if arg == "{grid}" else arg for arg in argv])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
-    out = re.sub(r"(?m)^(elapsed seconds  )\d+\.\d{3}$", r"\1<masked>", captured.out)
+    out = re.sub(r"(?m)^(elapsed_seconds )\d+\.\d{3}$", r"\1<masked>", captured.out)
     assert out == expected
+
+
+# graphs' table is the paper's column layout; every other table is key/value
+TABLE_ARGVS = [
+    pytest.param(case.values[0], id=case.id)
+    for case in CASES
+    if case.values[0][-1] == "table" and case.values[0][0] != "graphs"
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_ARGVS)
+def test_table_labels_are_the_json_keys(capsys, tmp_path, argv):
+    # a field starts a line or follows the two spaces that join a list item's
+    # fields, and its first word is its JSON key
+    grid = tmp_path / "grid.txt"
+    grid.write_text(GRID_4X4)
+    argv = [str(grid) if arg == "{grid}" else arg for arg in argv]
+    assert main(argv[:-2]) == 0  # the same command without --format table
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert main(argv) == 0
+    fields = re.split(r"\n| {2}", capsys.readouterr().out)
+    assert {field.split(" ")[0] for field in fields if field} == _keys(payload)
+
+
+def test_table_rule_covers_shapes_no_payload_has_yet():
+    # a flat list (like a future `routes` field), false, and an empty list
+    payload = {
+        "ok": False,
+        "routes": ["catalog", "census"],
+        "block": {"items": [{"k": 1, "cells": [[1, 2], [3, 4]]}], "none": []},
+    }
+    assert _table(payload) == (
+        "ok false\n"
+        "routes catalog census\n"
+        "block\n"
+        "  items\n"
+        "    k 1  cells (1,2) (3,4)\n"
+        "  none\n"
+    )
 
 
 def test_every_leaf_subcommand_has_a_case():

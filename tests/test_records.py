@@ -17,18 +17,18 @@ RECORDS = [
     (sp.SPermMatrix, _matrix, ("n", "row_perms", "col_perms"), True),
     (sp.CensusResult, lambda: sp.CensusResult(2, 112, 56, 16, 0.0),
      ("n", "ordered_pairs", "unordered_pairs", "matrices_scanned", "elapsed_seconds"),
-     False),
+     True),
     (CellIndex, lambda: cell_index(mask_words(2)),
      ("bitsets", "cells", "width"), False),
     (sp.Bigraph, lambda: sp.from_edges(2, [(0, 0), (1, 1)]), ("n", "code"), True),
     (sp.GraphProfile, lambda: sp.profile(sp.from_edges(2, [(0, 1)])),
-     ("degree_counts", "twin_class_sizes"), False),
+     ("degree_counts", "twin_class_sizes"), True),
     (sp.CatalogEntry, lambda: sp.enumerate_catalog(2).buckets[2][0],
      ("code", "profile", "orbit_size"), True),
     (sp.GraphCatalog, lambda: sp.enumerate_catalog(2), ("n", "buckets"), False),
-    (sp.SudokuGrid, lambda: sp.parse_grid(GRID), ("n", "cells"), False),
+    (sp.SudokuGrid, lambda: sp.parse_grid(GRID), ("n", "cells"), True),
     (sp.DisjointFamily, lambda: sp.decompose(sp.parse_grid(GRID)),
-     ("n", "members"), False),
+     ("n", "members"), True),
 ]
 
 
@@ -63,3 +63,9 @@ def test_records_are_immutable_values(kind, build, fields, hashable):
 def test_disjoint_family_checks_every_construction(make, message):
     with pytest.raises(ValueError, match=message):
         make(_matrix())
+
+
+def test_disjoint_family_keeps_a_tuple_of_a_list_of_members():
+    family = sp.DisjointFamily(2, [_matrix()])
+    assert family.members == (_matrix(),)
+    assert hash(family) == hash(sp.DisjointFamily(2, (_matrix(),)))

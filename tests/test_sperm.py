@@ -51,6 +51,11 @@ class TestBuild:
             build_matrix(2, [(1, 2), (1, 1)], [(1, 2), (1, 2)])
         with pytest.raises(ValueError, match=r"col_perms\[0\]"):
             build_matrix(2, [(1, 2), (1, 2)], [(2, 3), (1, 2)])
+        # True == 1.0 == 1, but neither a bool nor a float is a block index
+        with pytest.raises(ValueError, match=r"row_perms\[1\]"):
+            build_matrix(2, [(1, 2), (True, 2)], [(1, 2), (1, 2)])
+        with pytest.raises(ValueError, match=r"col_perms\[0\]"):
+            build_matrix(2, [(1, 2), (1, 2)], [(1.0, 2), (1, 2)])
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError, match="need 2 row and 2 column"):

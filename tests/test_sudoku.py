@@ -74,6 +74,9 @@ class TestValidation:
             decompose(SudokuGrid(2, ((5, 2, 3, 4),) + VALID_4.cells[1:]))
         with pytest.raises(GridFormatError, match=r"holds 0"):
             decompose(SudokuGrid(2, ((0, 2, 3, 4),) + VALID_4.cells[1:]))
+        # True == 1, but a bool is not a cell value
+        with pytest.raises(GridFormatError, match=r"cell \(1, 1\) holds True"):
+            first_violation(SudokuGrid(1, ((True,),)))
         # a valid grid with a surplus column has every constraint group intact
         with pytest.raises(GridFormatError, match="row 1 has 5 entries"):
             first_violation(SudokuGrid(2, tuple(row + (1,) for row in VALID_4.cells)))
