@@ -25,10 +25,10 @@ import random
 from typing import Iterator, NamedTuple, Sequence
 
 from .sperm import (
-    SizeLimitError,
     SPermMatrix,
     build_matrix,
     cell_bitsets,
+    check_cap,
     matrix_at,
     matrix_count,
 )
@@ -88,6 +88,8 @@ class DisjointFamily(_FamilyFields):
 
 
 def _check_shape(grid: SudokuGrid) -> None:
+    if grid.n < 1:
+        raise GridFormatError(f"block order must be >= 1, got {grid.n}")
     n2 = grid.n * grid.n
     if len(grid.cells) != n2:
         raise GridFormatError(f"expected {n2} rows, got {len(grid.cells)}")
@@ -176,13 +178,11 @@ def recompose(
 
 
 def _refuse_scale(n: int, what: str) -> None:
-    if n > GRID_CAP:
-        raise SizeLimitError(
-            f"{what} is only supported up to block order {GRID_CAP}; the 9x9 grid "
+    size = (f"{what} is only supported up to block order {GRID_CAP}; the 9x9 grid "
             f"count is ~6.671e21 (known exactly: {KNOWN_GRID_COUNTS[3]}, so "
             f"{clique_count_from_grid_count(KNOWN_GRID_COUNTS[3], 3)} complete "
-            f"disjoint families) and is never recomputed"
-        )
+            f"disjoint families) and is never recomputed")
+    check_cap(n, GRID_CAP, size)
     matrix_count(n)  # n < 1 is invalid input, not a scale cap
 
 

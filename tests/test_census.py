@@ -1,10 +1,11 @@
+import math
 import os
 import random
 import signal
 import threading
 import time
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, islice
 from operator import attrgetter
 
 import pytest
@@ -110,38 +111,21 @@ class TestMaskWords:
 
 
 @pytest.fixture(scope="module")
-def index3():
+def bitsets3():
     return cell_index(mask_words(3))
 
 
 class TestCellIndex:
-    # the census reads its bitsets and cells off the column rows that
-    # mask_words builds from each matrix's permutations; sperm.cell_bitsets
-    # builds the same bitsets from the digits of the matrix index, sharing
-    # no code
+    # the census reads its bitsets off the column rows that mask_words
+    # builds from each matrix's permutations; sperm.cell_bitsets builds the
+    # same bitsets from the digits of the matrix index, sharing no code
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_bitsets_equal_the_digit_built_index(self, n):
-        assert cell_index(mask_words(n)).bitsets == cell_bitsets(n)
+        assert cell_index(mask_words(n)) == cell_bitsets(n)
 
-    def test_bitsets_equal_the_digit_built_index_n3(self, index3):
-        assert index3.bitsets == cell_bitsets(3)
-
-    def test_cells_follow_every_mask_n2(self):
-        index = cell_index(mask_words(2))
-        assert index.width == 4
-        assert len(index.cells) == 16 * 4
-        for j, m in enumerate(enumerate_matrices(2)):
-            assert list(index.cells[4 * j:4 * j + 4]) == _cells_by_column(m)
-
-    def test_cells_follow_sampled_masks_n3(self, index3):
-        picks = set(random.Random(5).sample(range(matrix_count(3)), 64))
-        checked = 0
-        for j, m in enumerate(enumerate_matrices(3)):
-            if j in picks:
-                assert list(index3.cells[9 * j:9 * j + 9]) == _cells_by_column(m)
-                checked += 1
-        assert checked == 64
+    def test_bitsets_equal_the_digit_built_index_n3(self, bitsets3):
+        assert bitsets3 == cell_bitsets(3)
 
     def test_index_follows_any_enumeration_order(self, monkeypatch):
         mats = list(enumerate_matrices(2))
@@ -150,13 +134,15 @@ class TestCellIndex:
         # build meets each row_perms again in later runs
         assert len(list(groupby(mats, attrgetter("row_perms")))) > 4
         monkeypatch.setattr(census, "enumerate_matrices", lambda n: iter(mats))
-        index = cell_index(mask_words(2))
+        bitsets = cell_index(mask_words(2))
         for j, m in enumerate(mats):
-            assert list(index.cells[4 * j:4 * j + 4]) == _cells_by_column(m)
             bits = m.mask
-            assert [b >> j & 1 for b in index.bitsets] == [bits >> c & 1 for c in range(16)]
+            assert [b >> j & 1 for b in bitsets] == [bits >> c & 1 for c in range(16)]
+        # the scan walks the permutations itself, so a shuffled bit
+        # labelling changes no count
         result = run_census(2)
         assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
+        assert degree_histogram(2) == {7: 16}
 
 
 def test_each_entry_point_builds_the_index_once(monkeypatch):
@@ -185,122 +171,118 @@ def test_each_entry_point_builds_the_index_once(monkeypatch):
     assert calls == expected
 
 
-def _naive_count(index, j):
-    # N minus the popcount of the OR of all n² cell bitsets of row j
-    bitsets, cells, width = index
-    acc = 0
-    for c in cells[j * width:(j + 1) * width]:
-        acc |= bitsets[c]
-    return len(cells) // width - acc.bit_count()
+def _naive_count(bitsets, m):
+    # N minus the popcount of the OR of the bitsets of the n² cells that
+    # matrix m's mask holds
+    bits, acc = m.mask, 0
+    while bits:
+        low = bits & -bits
+        acc |= bitsets[low.bit_length() - 1]
+        bits ^= low
+    return matrix_count(m.n) - acc.bit_count()
 
 
-def _with_random_bitsets(index, seed):
-    # every matrix has the same partner count, so a cache that hands a row
-    # the OR of the wrong cells can still give the right count; random
+def _naive_counts(bitsets, n, g0, g1):
+    # rows of groups [g0, g1) are the matrices the enumeration yields there,
+    # (n!)^n per row_perms group
+    rows = math.factorial(n) ** n
+    return [_naive_count(bitsets, m)
+            for m in islice(enumerate_matrices(n), g0 * rows, g1 * rows)]
+
+
+def _with_random_bitsets(bitsets, n, seed):
+    # every matrix has the same partner count, so a traversal that hands a
+    # row the OR of the wrong cells can still give the right count; random
     # bitsets make each row's count depend on exactly its own cells
     rng = random.Random(seed)
-    total = len(index.cells) // index.width
-    return index._replace(bitsets=[rng.getrandbits(total) for _ in index.bitsets])
+    return [rng.getrandbits(matrix_count(n)) for _ in bitsets]
 
 
-def _traversal_counts(index, i0, i1):
-    # N - |P | R_i| for each row the shared traversal gives, in row order
-    total = len(index.cells) // index.width
-    return [total - (p | r).bit_count() for p, ors in census._runs(index, i0, i1) for r in ors]
+def _traversal_counts(bitsets, n, g0, g1):
+    # N - |h | r| for each row the shared traversal gives, in row order
+    total = matrix_count(n)
+    return [total - (h | r).bit_count()
+            for heads, tails in census._groups(bitsets, g0, g1) for h in heads for r in tails]
 
 
-def _assert_histogram_span(index, i0, i1):
-    naive = [_naive_count(index, j) for j in range(i0, i1)]
-    assert _traversal_counts(index, i0, i1) == naive
-    assert census._span_partners(index, i0, i1) == (len(naive), sum(naive), Counter(naive))
+def _assert_histogram_span(bitsets, n, g0, g1):
+    naive = _naive_counts(bitsets, n, g0, g1)
+    assert _traversal_counts(bitsets, n, g0, g1) == naive
+    assert census._span_partners(bitsets, g0, g1) == (len(naive), sum(naive), Counter(naive))
 
 
-def _assert_pairs_span(index, i0, i1):
-    naive = [_naive_count(index, j) for j in range(i0, i1)]
-    assert census._span_pairs(index, i0, i1) == (len(naive), sum(naive), Counter())
+def _assert_pairs_span(bitsets, n, g0, g1):
+    naive = _naive_counts(bitsets, n, g0, g1)
+    assert census._span_pairs(bitsets, g0, g1) == (len(naive), sum(naive), Counter())
 
 
-def _shuffled_rows(index, seed):
-    width = index.width
-    rows = [index.cells[at:at + width] for at in range(0, len(index.cells), width)]
-    random.Random(seed).shuffle(rows)
-    return index._replace(cells=b"".join(rows))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_groups_are_heads_by_tails(n):
+    # one group per row_perms tuple: block column 1's n! ORs as heads, and
+    # the product of the other n - 1 block columns' n! ORs as tails
+    f = math.factorial(n)
+    groups = census._groups(cell_bitsets(n), 0, f ** n)
+    assert [(len(heads), len(tails)) for heads, tails in groups] == [(f, f ** (n - 1))] * f ** n
 
 
 class TestPartnerKernel:
-    # the histogram reduction: the traversal reuses each run's R list over
-    # runs that share it, and neither that nor the run's P may change any
-    # row's count
+    # the histogram reduction: every row (h, r) of every group must get its
+    # own count
 
     @pytest.mark.parametrize("seed", [None, 1])
     def test_every_row_n2(self, seed):
-        index = cell_index(mask_words(2))
+        bitsets = cell_index(mask_words(2))
         if seed is not None:
-            index = _with_random_bitsets(index, seed)
-        for i0 in range(17):
-            for i1 in range(i0, 17):
-                _assert_histogram_span(index, i0, i1)
+            bitsets = _with_random_bitsets(bitsets, 2, seed)
+        for g0 in range(5):
+            for g1 in range(g0, 5):
+                _assert_histogram_span(bitsets, 2, g0, g1)
 
     @pytest.mark.parametrize("seed", [None, 2])
-    def test_sampled_rows_n3(self, index3, seed):
-        index = index3 if seed is None else _with_random_bitsets(index3, seed)
+    def test_sampled_rows_n3(self, bitsets3, seed):
+        bitsets = bitsets3 if seed is None else _with_random_bitsets(bitsets3, 3, seed)
         total = matrix_count(3)
-        kernel = _traversal_counts(index, 0, total)
-        for j in random.Random(7).sample(range(total), 64):
-            assert kernel[j] == _naive_count(index, j)
-        assert census._span_partners(index, 0, total) == (total, sum(kernel), Counter(kernel))
-        # a span that starts inside a run of rows sharing one first block column
-        _assert_histogram_span(index, 1001, 1100)
-
-    @pytest.mark.parametrize("seed", [None, 3])
-    def test_row_shuffled_index_n2(self, seed):
-        index = cell_index(mask_words(2))
-        if seed is not None:
-            index = _with_random_bitsets(index, seed)
-        _assert_histogram_span(_shuffled_rows(index, 3), 0, 16)
+        kernel = _traversal_counts(bitsets, 3, 0, 216)
+        picks = set(random.Random(7).sample(range(total), 64))
+        for j, m in enumerate(enumerate_matrices(3)):
+            if j in picks:
+                assert kernel[j] == _naive_count(bitsets, m)
+        assert census._span_partners(bitsets, 0, 216) == (total, sum(kernel), Counter(kernel))
+        # a span of groups from the middle of the range
+        _assert_histogram_span(bitsets, 3, 100, 103)
 
 
 class TestPairsKernel:
-    # the sum reduction counts a run's pairs from P and bit-sliced counts of
-    # its R_i; its sum must equal the per-row counts' sum over any span
+    # the sum reduction counts a group's pairs from each head and bit-sliced
+    # counts of its tails; its sum must equal the per-row counts' sum over
+    # any span of groups
 
     @pytest.mark.parametrize("seed", [None, 1])
     def test_every_span_n2(self, seed):
-        index = cell_index(mask_words(2))
+        bitsets = cell_index(mask_words(2))
         if seed is not None:
-            index = _with_random_bitsets(index, seed)
-        for i0 in range(17):
-            for i1 in range(i0, 17):
-                _assert_pairs_span(index, i0, i1)
+            bitsets = _with_random_bitsets(bitsets, 2, seed)
+        for g0 in range(5):
+            for g1 in range(g0, 5):
+                _assert_pairs_span(bitsets, 2, g0, g1)
 
     @pytest.mark.parametrize("seed", [None, 2])
-    def test_mid_run_span_n3(self, index3, seed):
-        index = index3 if seed is None else _with_random_bitsets(index3, seed)
-        # starts inside a run, ends inside another, and reuses one R list
-        _assert_pairs_span(index, 1001, 1100)
+    def test_mid_run_span_n3(self, bitsets3, seed):
+        bitsets = bitsets3 if seed is None else _with_random_bitsets(bitsets3, 3, seed)
+        _assert_pairs_span(bitsets, 3, 100, 103)
 
-    def test_every_row_n3_with_random_bitsets(self, index3):
-        _assert_pairs_span(_with_random_bitsets(index3, 4), 0, matrix_count(3))
-
-    @pytest.mark.parametrize("seed", [None, 3])
-    def test_row_shuffled_index_n2(self, seed):
-        index = cell_index(mask_words(2))
-        if seed is not None:
-            index = _with_random_bitsets(index, seed)
-        shuffled = _shuffled_rows(index, 3)
-        for i0 in range(17):
-            for i1 in range(i0, 17):
-                _assert_pairs_span(shuffled, i0, i1)
+    def test_every_row_n3_with_random_bitsets(self, bitsets3):
+        _assert_pairs_span(_with_random_bitsets(bitsets3, 3, 4), 3, 0, 216)
 
     @pytest.mark.parametrize("bitset", [None, 0])
     def test_n1_has_no_cells_past_the_run_prefix(self, bitset):
-        # n = 1: the first block column is the whole row, so each R_i is 0
-        index = cell_index(mask_words(1))
+        # n = 1: block column 1 is the whole row, so the one tail is 0
+        bitsets = cell_index(mask_words(1))
         if bitset is not None:
-            index = index._replace(bitsets=[bitset])
-        assert list(census._runs(index, 0, 1)) == [(index.bitsets[0], [0])]
-        _assert_pairs_span(index, 0, 1)
-        _assert_histogram_span(index, 0, 1)
+            bitsets = [bitset]
+        assert list(census._groups(bitsets, 0, 1)) == [(bitsets, [0])]
+        _assert_pairs_span(bitsets, 1, 0, 1)
+        _assert_histogram_span(bitsets, 1, 0, 1)
 
 
 def _each_entry_point(wrap):
@@ -349,18 +331,20 @@ class TestFork:
     def test_forks_never_exceed_the_cpus(self, forks):
         result = run_census(2, workers=64)
         assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
-        assert len(forks) == min(len(os.sched_getaffinity(0)), 16) - 1
+        # 4 row_perms groups at n = 2, so at most 4 spans
+        assert len(forks) == min(len(os.sched_getaffinity(0)), 4) - 1
         _assert_no_children()
 
     def test_forks_never_exceed_the_spans(self, forks, many_cpus):
+        # spans are cut at row_perms groups: 4 at n = 2, 1 at n = 1
         assert run_census(2, workers=64).ordered_pairs == 112
-        assert len(forks) == 15
+        assert len(forks) == 3
         assert run_census(1, workers=8).ordered_pairs == 0
-        assert len(forks) == 15
-        # 5 spans of 16 rows are uneven; every row is still tallied once
-        result = run_census(2, workers=5)
+        assert len(forks) == 3
+        # 3 spans of 4 groups are uneven; every row is still tallied once
+        result = run_census(2, workers=3)
         assert (result.ordered_pairs, result.unordered_pairs) == (112, 56)
-        assert len(forks) == 19
+        assert len(forks) == 5
         _assert_no_children()
 
     def test_failing_child_raises(self, forks, cpus):
@@ -436,19 +420,20 @@ class TestFork:
         for call in _each_entry_point(wrap):
             with pytest.raises(ArithmeticError, match="cover 15 rows, not 16"):
                 call()
-        # a row the shared traversal loses is lost to both reductions
-        real = census._runs
+        # a tail the shared traversal loses is lost to both reductions, once
+        # under each of the group's 2 heads
+        real = census._groups
 
-        def traversal_drops_a_row(index, i0, i1):
-            runs = real(index, i0, i1)
-            if i0 == 0:
-                p, run = next(runs)
-                yield p, run[1:]
-            yield from runs
+        def traversal_drops_a_tail(bitsets, g0, g1):
+            groups = real(bitsets, g0, g1)
+            if g0 == 0:
+                heads, tails = next(groups)
+                yield heads, tails[1:]
+            yield from groups
 
-        monkeypatch.setattr(census, "_runs", traversal_drops_a_row)
+        monkeypatch.setattr(census, "_groups", traversal_drops_a_tail)
         for call in _each_entry_point(lambda real: real):
-            with pytest.raises(ArithmeticError, match="cover 15 rows, not 16"):
+            with pytest.raises(ArithmeticError, match="cover 14 rows, not 16"):
                 call()
         assert len(forks) == 4
         _assert_no_children()

@@ -3,7 +3,6 @@
 import pytest
 
 import spairs as sp
-from spairs.census import CellIndex, cell_index, mask_words
 
 GRID = "2\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
 
@@ -18,8 +17,6 @@ RECORDS = [
     (sp.CensusResult, lambda: sp.CensusResult(2, 112, 56, 16, 0.0),
      ("n", "ordered_pairs", "unordered_pairs", "matrices_scanned", "elapsed_seconds"),
      True),
-    (CellIndex, lambda: cell_index(mask_words(2)),
-     ("bitsets", "cells", "width"), False),
     (sp.Bigraph, lambda: sp.from_edges(2, [(0, 0), (1, 1)]), ("n", "code"), True),
     (sp.GraphProfile, lambda: sp.profile(sp.from_edges(2, [(0, 1)])),
      ("degree_counts", "twin_class_sizes"), True),

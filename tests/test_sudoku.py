@@ -80,6 +80,11 @@ class TestValidation:
         # a valid grid with a surplus column has every constraint group intact
         with pytest.raises(GridFormatError, match="row 1 has 5 entries"):
             first_violation(SudokuGrid(2, tuple(row + (1,) for row in VALID_4.cells)))
+        # a block order below 1 has no grid, even when its n² rows line up
+        for grid in (SudokuGrid(0, ()), SudokuGrid(-1, ((1,),))):
+            for check in (first_violation, decompose):
+                with pytest.raises(GridFormatError, match=f"must be >= 1, got {grid.n}"):
+                    check(grid)
 
 
 class TestDecomposition:
