@@ -6,7 +6,8 @@ echo of every parsed argument except --format, and a payload.  Computed
 counts and weights are serialized as decimal strings ("144", "1/4") so
 consumers without big integers survive; small structural integers (n, k,
 sizes, echoed flags) stay plain JSON numbers.  --format table prints each
-payload field under its JSON name; graphs keeps its columns and adds dot.
+payload field under its JSON name, through one renderer for every command;
+graphs alone also has --format dot.
 
 Exit codes are frozen for CI use:
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import zip_longest
 from typing import Any
 
 from .bigraphs import CATALOG_CAP, Bigraph, enumerate_catalog, format_code, to_dot
@@ -188,29 +190,6 @@ def _cmd_sample(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-_GRAPH_COLUMNS = (
-    "edges", "code", "orbit_size", "automorphism_order", "weight", "twin_class_weight"
-)
-
-
-def _table_graphs(payload: dict) -> str:
-    graphs = payload["graphs"]
-    rows = [("edges", "code", "orbit", "aut", "weight", "twin wt")]
-    rows += [tuple(str(g[key]) for key in _GRAPH_COLUMNS) for g in graphs]
-    # each column as wide as its widest cell, never narrower than at n <= 3
-    widths = (max(w, *map(len, c)) for w, c in zip((5, 6, 5, 4, 8, 8), zip(*rows)))
-    fmt = "%{}s  %-{}s %{}s %{}s  %{}s  %{}s  ".format(*widths)
-    tails = ["profile"] + [
-        f"degrees {g['degree_counts']} twins {g['twin_class_sizes']}" for g in graphs
-    ]
-    lines = [
-        f"side size {payload['n']}: {payload['class_count']} classes over "
-        f"{payload['labeled_graph_count']} labeled graphs"
-    ]
-    lines += [fmt % row + tail for row, tail in zip(rows, tails)]
-    return "\n".join(lines) + "\n"
-
-
 def _dot_graphs(payload: dict) -> str:
     n = payload["n"]
     dots = (to_dot(Bigraph(n, int(g["code"], 16))) for g in payload["graphs"])
@@ -229,13 +208,17 @@ def _text(value) -> str:
 
 
 def _table(payload: dict, indent: str = "") -> str:
-    """Each field under its JSON name; nested dicts print two spaces deeper."""
+    """Each field under its JSON name; nested dicts print two spaces deeper,
+    and a list of dicts prints one line per item, its fields in columns."""
     text = ""
     for key, value in payload.items():
         if isinstance(value, dict):
             text += f"{indent}{key}\n" + _table(value, indent + "  ")
         elif isinstance(value, list) and all(isinstance(v, dict) for v in value):
-            items = ("  ".join(f"{k} {_text(v)}" for k, v in i.items()) for i in value)
+            rows = [[f"{k} {_text(v)}" for k, v in i.items()] for i in value]
+            # each field as wide as the widest in its column, rows of any length
+            widths = [max(map(len, c)) for c in zip_longest(*rows, fillvalue="")]
+            items = ("  ".join(map(str.ljust, r, widths)).rstrip() for r in rows)
             text += f"{indent}{key}\n" + "".join(f"{indent}  {i}\n" for i in items)
         else:
             text += f"{indent}{key} {_text(value)}\n"
@@ -243,7 +226,7 @@ def _table(payload: dict, indent: str = "") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parser: each leaf subcommand carries its handler (run) and renderer (table)
+# Parser: each leaf subcommand carries its handler (run)
 # ---------------------------------------------------------------------------
 
 
@@ -305,16 +288,15 @@ def build_parser() -> _Parser:
     a.add_argument("--n", type=int, default=2)
     a.add_argument("--seed", type=int, default=0)
 
-    # graphs alone keeps its own text layouts: the paper's columns and dot
+    # graphs alone adds a third layout, dot
     for leaf in (graphs, count, census, *action.choices.values()):
         formats = ["json", "table", "dot"] if leaf is graphs else ["json", "table"]
         leaf.add_argument("--format", choices=formats, default="json")
-        leaf.set_defaults(table=_table_graphs if leaf is graphs else _table)
     return parser
 
 
 # not echoed: the command heads the envelope, the rest select code or format
-_UNECHOED = ("command", "format", "run", "table")
+_UNECHOED = ("command", "format", "run")
 
 
 def _render(args, payload: dict) -> str:
@@ -324,7 +306,7 @@ def _render(args, payload: dict) -> str:
         return json.dumps(envelope, indent=2) + "\n"
     if args.format == "dot":
         return _dot_graphs(payload)
-    return args.table(payload)
+    return _table(payload)
 
 
 def main(argv: list[str] | None = None) -> int:

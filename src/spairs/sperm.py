@@ -91,6 +91,8 @@ def build_matrix(
     Raises ValueError naming the offending entry if any input is not a
     permutation of 1..n.
     """
+    if type(n) is not int:  # bool is an int subclass, and True == 1
+        raise ValueError(f"block order must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"block order must be >= 1, got {n}")
     if len(row_perms) != n or len(col_perms) != n:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from typing import Iterator, NamedTuple, Sequence
 
 from .sperm import (
@@ -68,6 +69,10 @@ class DisjointFamily(_FamilyFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, n: int, members: tuple[SPermMatrix, ...]) -> DisjointFamily:
+        if type(n) is not int:  # bool is an int subclass, and True == 1
+            raise ValueError(f"block order must be an int, got {n!r}")
+        if n < 1:
+            raise ValueError(f"block order must be >= 1, got {n}")
         if len(members) > n * n:
             raise ValueError(
                 f"family of {len(members)} members exceeds n² = {n ** 2}"
@@ -88,6 +93,8 @@ class DisjointFamily(_FamilyFields):
 
 
 def _check_shape(grid: SudokuGrid) -> None:
+    if type(grid.n) is not int:  # as for cells: 2.0 and True are not orders
+        raise GridFormatError(f"block order must be an int, got {grid.n!r}")
     if grid.n < 1:
         raise GridFormatError(f"block order must be >= 1, got {grid.n}")
     n2 = grid.n * grid.n
@@ -331,6 +338,17 @@ def sample_family(n: int, seed: int) -> DisjointFamily:
 # ---------------------------------------------------------------------------
 
 
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _parse_int(token: str) -> int:
+    # int() also reads "+1", "1_0" and digits of other scripts; the format
+    # has ASCII digits only, with "-" kept so that "-1" gets the range error
+    if not _INT_TOKEN.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_grid(text: str) -> SudokuGrid:
     """Read the plain-text format: n on the first line, then n² rows of n²
     space-separated integers."""
@@ -338,7 +356,7 @@ def parse_grid(text: str) -> SudokuGrid:
     if not lines:
         raise GridFormatError("empty grid file")
     try:
-        n = int(lines[0])
+        n = _parse_int(lines[0].strip())
     except ValueError:
         raise GridFormatError(f"first line must be the block order, got {lines[0]!r}")
     if n < 1:
@@ -349,7 +367,7 @@ def parse_grid(text: str) -> SudokuGrid:
     rows = []
     for r, ln in enumerate(lines[1:]):
         try:
-            row = tuple(int(tok) for tok in ln.split())
+            row = tuple(map(_parse_int, ln.split()))
         except ValueError:
             raise GridFormatError(f"row {r + 1} has a non-integer entry")
         rows.append(row)

@@ -54,16 +54,24 @@ class TestGraphs:
     def test_table(self, capsys):
         code, out, _err = run(capsys, "graphs", "--n", "2", "--format", "table")
         assert code == 0
-        assert out.startswith("side size 2: 7 classes over 16 labeled graphs")
-        assert len(out.splitlines()) == 2 + 7
+        head, graphs = out.split("graphs\n")
+        # the class counts by edge count print beside the 7 class rows
+        assert head == (
+            "n 2\nclass_count 7\nlabeled_graph_count 16\nbucket_sizes\n"
+            + "".join(f"  edges {k}  classes {s}\n" for k, s in enumerate([1, 1, 3, 1, 1]))
+        )
+        assert len(graphs.splitlines()) == 7
 
     def test_table_columns_widen_to_fit(self, capsys):
-        # at n = 4 weights reach 11 characters; every row stays aligned
+        # at n = 4 weights reach 11 characters; every field of every class
+        # row starts at the same column as in the other rows
         code, out, _err = run(capsys, "graphs", "--n", "4", "--format", "table")
         assert code == 0
-        rows = out.splitlines()[2:]
+        rows = out.split("graphs\n")[1].splitlines()
         assert len(rows) == 317
-        assert len({row.index(" degrees ") for row in rows}) == 1
+        starts = {tuple(m.start() for m in re.finditer(r"(?<=  )\S", r)) for r in rows}
+        assert len(starts) == 1 and len(next(iter(starts))) == 8
+        assert not any(row.endswith(" ") for row in rows)
 
     def test_dot(self, capsys):
         code, out, _err = run(capsys, "graphs", "--n", "2", "--format", "dot")

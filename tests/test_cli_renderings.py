@@ -2,9 +2,9 @@
 
 Each case runs one leaf at a small input and compares stdout with the
 expected text.  The census's `elapsed_seconds` line is the one field that
-varies by run, so it is masked before the comparison.  Every table but
-graphs' labels each field with its JSON key, and a last test walks the
-parser and fails if a leaf subcommand has no case here.
+varies by run, so it is masked before the comparison.  Every table labels
+each field with its JSON key, and a last test walks the parser and fails
+if a leaf subcommand has no case here.
 """
 
 import argparse
@@ -106,15 +106,23 @@ elapsed_seconds <masked>
 """
 
 GRAPHS_TABLE = """\
-side size 2: 7 classes over 16 labeled graphs
-edges  code   orbit  aut    weight   twin wt  profile
-    0  0          1    4       4/1       4/1  degrees [4, 0, 0] twins [2, 2]
-    1  1          4    1       4/1       4/1  degrees [2, 2, 0] twins [1, 1, 1, 1]
-    2  3          2    2       1/1       1/1  degrees [1, 2, 1] twins [1, 1, 2]
-    2  5          2    2       1/1       1/1  degrees [1, 2, 1] twins [1, 1, 2]
-    2  6          2    2       1/2       1/1  degrees [0, 4, 0] twins [1, 1, 1, 1]
-    3  7          4    1       1/1       1/1  degrees [0, 2, 2] twins [1, 1, 1, 1]
-    4  f          1    4       1/4       1/4  degrees [0, 0, 4] twins [2, 2]
+n 2
+class_count 7
+labeled_graph_count 16
+bucket_sizes
+  edges 0  classes 1
+  edges 1  classes 1
+  edges 2  classes 3
+  edges 3  classes 1
+  edges 4  classes 1
+graphs
+  edges 0  code 0  degree_counts 4 0 0  twin_class_sizes 2 2      orbit_size 1  automorphism_order 4  weight 4/1  twin_class_weight 4/1
+  edges 1  code 1  degree_counts 2 2 0  twin_class_sizes 1 1 1 1  orbit_size 4  automorphism_order 1  weight 4/1  twin_class_weight 4/1
+  edges 2  code 3  degree_counts 1 2 1  twin_class_sizes 1 1 2    orbit_size 2  automorphism_order 2  weight 1/1  twin_class_weight 1/1
+  edges 2  code 5  degree_counts 1 2 1  twin_class_sizes 1 1 2    orbit_size 2  automorphism_order 2  weight 1/1  twin_class_weight 1/1
+  edges 2  code 6  degree_counts 0 4 0  twin_class_sizes 1 1 1 1  orbit_size 2  automorphism_order 2  weight 1/2  twin_class_weight 1/1
+  edges 3  code 7  degree_counts 0 2 2  twin_class_sizes 1 1 1 1  orbit_size 4  automorphism_order 1  weight 1/1  twin_class_weight 1/1
+  edges 4  code f  degree_counts 0 0 4  twin_class_sizes 2 2      orbit_size 1  automorphism_order 4  weight 1/4  twin_class_weight 1/4
 """
 
 # like every other rendering, the dot text ends in a newline
@@ -291,25 +299,24 @@ def test_rendering_is_byte_identical(capsys, tmp_path, argv, expected):
     assert out == expected
 
 
-# graphs' table is the paper's column layout; every other table is key/value
 TABLE_ARGVS = [
     pytest.param(case.values[0], id=case.id)
     for case in CASES
-    if case.values[0][-1] == "table" and case.values[0][0] != "graphs"
+    if case.values[0][-1] == "table"
 ]
 
 
 @pytest.mark.parametrize("argv", TABLE_ARGVS)
 def test_table_labels_are_the_json_keys(capsys, tmp_path, argv):
-    # a field starts a line or follows the two spaces that join a list item's
-    # fields, and its first word is its JSON key
+    # a field starts a line or follows the two or more spaces that join and
+    # pad a list item's fields, and its first word is its JSON key
     grid = tmp_path / "grid.txt"
     grid.write_text(GRID_4X4)
     argv = [str(grid) if arg == "{grid}" else arg for arg in argv]
     assert main(argv[:-2]) == 0  # the same command without --format table
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert main(argv) == 0
-    fields = re.split(r"\n| {2}", capsys.readouterr().out)
+    fields = re.split(r"\n| {2,}", capsys.readouterr().out)
     assert {field.split(" ")[0] for field in fields if field} == _keys(payload)
 
 
@@ -327,6 +334,24 @@ def test_table_rule_covers_shapes_no_payload_has_yet():
         "  items\n"
         "    k 1  cells (1,2) (3,4)\n"
         "  none\n"
+    )
+
+
+def test_list_item_fields_line_up_in_columns():
+    # fields of uneven width, and items with fewer or more fields than others:
+    # each field is padded to its column's widest, but a line's last is not
+    payload = {
+        "rows": [
+            {"edges": 1, "weight": "4/1", "tag": "a"},
+            {"edges": 16, "weight": "1/4"},
+            {"edges": 2, "weight": "1/1024", "tag": "bb", "extra": True},
+        ]
+    }
+    assert _table(payload) == (
+        "rows\n"
+        "  edges 1   weight 4/1     tag a\n"
+        "  edges 16  weight 1/4\n"
+        "  edges 2   weight 1/1024  tag bb  extra true\n"
     )
 
 

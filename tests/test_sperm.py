@@ -64,6 +64,11 @@ class TestBuild:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError, match=">= 1"):
             build_matrix(0, [], [])
+        # True == 1 and 2.0 == 2, but neither is a block order
+        with pytest.raises(ValueError, match="must be an int, got True"):
+            build_matrix(True, [(1,)], [(1,)])
+        with pytest.raises(ValueError, match="must be an int, got 2.0"):
+            build_matrix(2.0, [(1, 2), (1, 2)], [(1, 2), (1, 2)])
 
 
 class TestCounting:

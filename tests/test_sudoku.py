@@ -85,6 +85,11 @@ class TestValidation:
             for check in (first_violation, decompose):
                 with pytest.raises(GridFormatError, match=f"must be >= 1, got {grid.n}"):
                     check(grid)
+        # nor does a block order that is not an int, though 2.0 == 2 and True == 1
+        for grid in (SudokuGrid(2.0, VALID_4.cells), SudokuGrid(True, ((1,),))):
+            for check in (first_violation, decompose):
+                with pytest.raises(GridFormatError, match=f"must be an int, got {grid.n}"):
+                    check(grid)
 
 
 class TestDecomposition:
@@ -151,6 +156,21 @@ class TestDisjointFamily:
         a = build_matrix(2, [(1, 2), (1, 2)], [(1, 2), (1, 2)])
         with pytest.raises(ValueError, match="member 1 has block order 3, not 2"):
             DisjointFamily(2, (a, b))
+
+    def test_bad_block_order_rejected(self):
+        # recompose would build the 0×0 grid that first_violation rejects
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"block order must be >= 1, got {n}"):
+                DisjointFamily(n, ())
+            with pytest.raises(ValueError, match=f"must be >= 1, got {n}"):
+                DisjointFamily(members=(), n=n)
+        family = decompose(VALID_4)
+        with pytest.raises(ValueError, match="must be >= 1, got 0"):
+            family._replace(n=0, members=())
+        # nor one that is not an int: recompose read True as order 1
+        for n in (True, 2.0):
+            with pytest.raises(ValueError, match=f"must be an int, got {n}"):
+                DisjointFamily(n, ())
 
     def test_complete_flag(self):
         family = decompose(VALID_4)
@@ -305,6 +325,13 @@ class TestGridIO:
             ("2\n1 2 3 4\n3 4 1 2", "expected 4 grid rows"),
             ("1\none\n", "row 1 has a non-integer entry"),
             ("1\n2\n", r"cell \(1, 1\) holds 2"),
+            # int() reads these, but the format has plain ASCII digits only
+            ("1\n+1\n", "row 1 has a non-integer entry"),
+            ("1\n\u0661\n", "row 1 has a non-integer entry"),  # Arabic-Indic one
+            ("\u0661\n1\n", "first line must be the block order"),
+            pytest.param(
+                "4\n" + "1_0\n" * 16, "row 1 has a non-integer entry", id="1_0-is-not-10"
+            ),
         ],
     )
     def test_parse_errors(self, text, message):
