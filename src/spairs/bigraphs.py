@@ -170,8 +170,6 @@ def enumerate_catalog(n: int) -> GraphCatalog:
     sizes do not sum to 2^(n²).
     """
     check_cap(n, CATALOG_CAP, f"catalog for side size {n} covers 2^{n * n} labeled graphs")
-    if n < 1:
-        raise ValueError(f"side size must be >= 1, got {n}")
     tables = _column_tables(n)
     buckets: dict[int, list[CatalogEntry]] = {k: [] for k in range(n * n + 1)}
     marked: set[tuple[int, ...]] = set()

@@ -213,8 +213,8 @@ def _scan(n: int, workers: int | None, span) -> tuple[int, Counter, int]:
     if the spans do not cover every row once or the sum is odd.
     """
     check_census_cap(n)
-    if workers is not None and workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+    if workers is not None and (type(workers) is not int or workers < 1):
+        raise ValueError(f"worker count must be an int >= 1, got {workers!r}")
     columns = mask_words(n)
     total = columns.shape[1]
     groups = math.isqrt(total)  # (n!)^n row_perms groups of (n!)^n rows each

@@ -129,8 +129,6 @@ def _census_block(n: int) -> dict[str, Any]:
 
 def _cmd_count(args) -> dict:
     payload: dict[str, Any] = {"n": args.n, "mode": args.mode}
-    if args.n < 1:  # invalid input in every mode
-        raise ValueError(f"block order must be >= 1, got {args.n}")
     if args.mode in ("census", "both"):
         check_census_cap(args.n)  # before any formula work
     if args.mode in ("formula", "both"):

@@ -62,6 +62,7 @@ import math
 from fractions import Fraction
 
 from .bigraphs import CatalogEntry, GraphCatalog, GraphProfile
+from .sperm import check_order
 
 CONVENTIONS = ("automorphism", "twin-classes")
 
@@ -121,8 +122,7 @@ def count_ordered(n: int, table: dict[int, Fraction]) -> int:
     shortcut produces (144 at n=2), which the census refutes.  The count is
     checked to be even.
     """
-    if n < 1:
-        raise ValueError(f"side size must be >= 1, got {n}")
+    check_order(n)
     if sorted(table) != list(range(1, n * n + 1)):
         raise ValueError(f"weight table buckets are not 1..{n * n}")
     fact = math.factorial(n)

@@ -1,4 +1,4 @@
-"""S-permutation matrices and their bit-vector occupancy masks.
+"""The block-order rule, S-permutation matrices and their occupancy masks.
 
 An S-permutation matrix of block order n is an n²×n² permutation matrix
 whose n² blocks of size n×n each contain exactly one 1.  Every such matrix
@@ -35,8 +35,17 @@ class SizeLimitError(ValueError):
     """An exhaustive operation was asked to run beyond its scale cap."""
 
 
+def check_order(n: int) -> None:
+    """Raise ValueError unless n is a block order: an int, not a bool, >= 1."""
+    if type(n) is not int:  # bool is an int subclass, and True == 1
+        raise ValueError(f"block order must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError(f"block order must be >= 1, got {n}")
+
+
 def check_cap(n: int, cap: int, size: str) -> None:
-    """Raise SizeLimitError, naming ``size``, if n is above ``cap``."""
+    """Run ``check_order(n)``, then raise SizeLimitError, naming ``size``, if n > ``cap``."""
+    check_order(n)
     if n > cap:
         raise SizeLimitError(f"{size}; capped at n <= {cap}")
 
@@ -91,10 +100,7 @@ def build_matrix(
     Raises ValueError naming the offending entry if any input is not a
     permutation of 1..n.
     """
-    if type(n) is not int:  # bool is an int subclass, and True == 1
-        raise ValueError(f"block order must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError(f"block order must be >= 1, got {n}")
+    check_order(n)
     if len(row_perms) != n or len(col_perms) != n:
         raise ValueError(
             f"need {n} row and {n} column permutations, "
@@ -107,8 +113,7 @@ def build_matrix(
 
 def matrix_count(n: int) -> int:
     """Number of S-permutation matrices of block order n: (n!)^(2n)."""
-    if n < 1:
-        raise ValueError(f"block order must be >= 1, got {n}")
+    check_order(n)
     return math.factorial(n) ** (2 * n)
 
 
@@ -123,7 +128,6 @@ def enumerate_matrices(n: int) -> Iterator[SPermMatrix]:
     (row_perms first, then col_perms).  Refuses n above ``ENUMERATION_CAP``.
     """
     check_cap(n, ENUMERATION_CAP, f"enumerating block order {n} means ({n}!)^{2 * n} matrices")
-    matrix_count(n)  # range check on n
     halves = list(product(_words(n), repeat=n))  # every n-tuple of permutations
     for rows, cols in product(halves, repeat=2):
         yield SPermMatrix(n, rows, cols)
@@ -138,8 +142,8 @@ def matrix_at(n: int, j: int) -> SPermMatrix:
     """
     check_cap(n, ENUMERATION_CAP, f"indexing block order {n} means ({n}!)^{2 * n} matrices")
     total = matrix_count(n)
-    if not 0 <= j < total:
-        raise IndexError(f"matrix index {j} outside 0..{total - 1}")
+    if type(j) is not int or not 0 <= j < total:  # True == 1.0 == 1, not an index
+        raise IndexError(f"matrix index {j!r} outside 0..{total - 1}")
     words = _words(n)
     digits = []
     for _ in range(2 * n):

@@ -30,6 +30,7 @@ from .sperm import (
     build_matrix,
     cell_bitsets,
     check_cap,
+    check_order,
     matrix_at,
     matrix_count,
 )
@@ -69,10 +70,7 @@ class DisjointFamily(_FamilyFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, n: int, members: tuple[SPermMatrix, ...]) -> DisjointFamily:
-        if type(n) is not int:  # bool is an int subclass, and True == 1
-            raise ValueError(f"block order must be an int, got {n!r}")
-        if n < 1:
-            raise ValueError(f"block order must be >= 1, got {n}")
+        check_order(n)
         if len(members) > n * n:
             raise ValueError(
                 f"family of {len(members)} members exceeds n² = {n ** 2}"
@@ -92,12 +90,16 @@ class DisjointFamily(_FamilyFields):
         return len(self.members) == self.n * self.n
 
 
+def _grid_side(n: int) -> int:
+    try:
+        check_order(n)
+    except ValueError as exc:  # a grid's bad order is malformed grid data
+        raise GridFormatError(str(exc)) from None
+    return n * n
+
+
 def _check_shape(grid: SudokuGrid) -> None:
-    if type(grid.n) is not int:  # as for cells: 2.0 and True are not orders
-        raise GridFormatError(f"block order must be an int, got {grid.n!r}")
-    if grid.n < 1:
-        raise GridFormatError(f"block order must be >= 1, got {grid.n}")
-    n2 = grid.n * grid.n
+    n2 = _grid_side(grid.n)
     if len(grid.cells) != n2:
         raise GridFormatError(f"expected {n2} rows, got {len(grid.cells)}")
     for r, row in enumerate(grid.cells):
@@ -190,7 +192,6 @@ def _refuse_scale(n: int, what: str) -> None:
             f"{clique_count_from_grid_count(KNOWN_GRID_COUNTS[3], 3)} complete "
             f"disjoint families) and is never recomputed")
     check_cap(n, GRID_CAP, size)
-    matrix_count(n)  # n < 1 is invalid input, not a scale cap
 
 
 def iter_grids(n: int) -> Iterator[SudokuGrid]:
@@ -258,6 +259,9 @@ def count_cliques(n: int) -> int:
 
 def clique_count_from_grid_count(grid_count: int, n: int) -> int:
     """Complete-family count from the grid count: divide by (n²)! exactly."""
+    check_order(n)
+    if grid_count < 0:
+        raise ValueError(f"grid count must be >= 0, got {grid_count}")
     q, r = divmod(grid_count, math.factorial(n * n))
     if r:
         raise ValueError(
@@ -359,9 +363,7 @@ def parse_grid(text: str) -> SudokuGrid:
         n = _parse_int(lines[0].strip())
     except ValueError:
         raise GridFormatError(f"first line must be the block order, got {lines[0]!r}")
-    if n < 1:
-        raise GridFormatError(f"block order must be >= 1, got {n}")
-    n2 = n * n
+    n2 = _grid_side(n)  # the order is checked before the row count it fixes
     if len(lines) - 1 != n2:
         raise GridFormatError(f"expected {n2} grid rows, got {len(lines) - 1}")
     rows = []

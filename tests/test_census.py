@@ -499,6 +499,14 @@ class TestScaleAndErrors:
         with pytest.raises(SizeLimitError):
             degree_histogram(4)
 
-    def test_bad_workers(self):
+    def test_bad_workers(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked before refusing the worker count")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         with pytest.raises(ValueError, match="worker count"):
             run_census(2, workers=0)
+        # True == 1 and 2.0 == 2, but neither is a worker count
+        for workers in (True, 2.0):
+            with pytest.raises(ValueError, match=f"must be an int >= 1, got {workers}"):
+                run_census(2, workers=workers)

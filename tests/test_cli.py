@@ -107,6 +107,13 @@ class TestGraphs:
         assert out == ""
         assert "capped at n <= 5" in err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_block_order_below_1_exits_4(self, capsys, n):
+        code, out, err = run(capsys, "graphs", "--n", n)
+        assert code == 4
+        assert out == ""
+        assert err == f"error: block order must be >= 1, got {n}\n"
+
 
 class TestCount:
     def test_both_modes_match(self, capsys):
@@ -297,6 +304,13 @@ class TestCensus:
         assert code == 2
         assert "capped" in err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_block_order_below_1_exits_4(self, capsys, n):
+        code, out, err = run(capsys, "census", "--n", n)
+        assert code == 4
+        assert out == ""
+        assert err == f"error: block order must be >= 1, got {n}\n"
+
 
 class TestSudoku:
     def test_count(self, capsys):
@@ -330,7 +344,7 @@ class TestSudoku:
         assert code == 0
         assert doc["payload"][key] == "1"
 
-    @pytest.mark.parametrize("action", ["count", "cliques"])
+    @pytest.mark.parametrize("action", ["count", "cliques", "sample"])
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_block_order_below_1_exits_4(self, capsys, action, n):
         code, out, err = run(capsys, "sudoku", action, "--n", n)

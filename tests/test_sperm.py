@@ -6,15 +6,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spairs import (
+    DisjointFamily,
+    GridFormatError,
     SizeLimitError,
     SPermMatrix,
+    SudokuGrid,
     build_matrix,
     cell_bitsets,
+    clique_count_from_grid_count,
+    count_cliques,
+    count_grids,
+    count_ordered,
+    degree_histogram,
+    enumerate_catalog,
     enumerate_matrices,
+    first_violation,
     is_disjoint,
+    iter_grids,
     mask_is_valid,
     matrix_at,
     matrix_count,
+    run_census,
+    sample_family,
     sperm,
 )
 
@@ -61,14 +74,48 @@ class TestBuild:
         with pytest.raises(ValueError, match="need 2 row and 2 column"):
             build_matrix(2, [(1, 2)], [(1, 2), (1, 2)])
 
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            build_matrix(0, [], [])
-        # True == 1 and 2.0 == 2, but neither is a block order
-        with pytest.raises(ValueError, match="must be an int, got True"):
-            build_matrix(True, [(1,)], [(1,)])
-        with pytest.raises(ValueError, match="must be an int, got 2.0"):
-            build_matrix(2.0, [(1, 2), (1, 2)], [(1, 2), (1, 2)])
+    # every public entry point that takes a block order refuses a bad one
+    # through sperm.check_order, with the same message
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            pytest.param(lambda n: build_matrix(n, [], []), ValueError, id="build_matrix"),
+            pytest.param(matrix_count, ValueError, id="matrix_count"),
+            pytest.param(lambda n: next(enumerate_matrices(n)), ValueError,
+                         id="enumerate_matrices"),
+            pytest.param(lambda n: matrix_at(n, 0), ValueError, id="matrix_at"),
+            pytest.param(cell_bitsets, ValueError, id="cell_bitsets"),
+            pytest.param(run_census, ValueError, id="run_census"),
+            pytest.param(degree_histogram, ValueError, id="degree_histogram"),
+            pytest.param(enumerate_catalog, ValueError, id="enumerate_catalog"),
+            pytest.param(lambda n: count_ordered(n, {}), ValueError, id="count_ordered"),
+            pytest.param(lambda n: DisjointFamily(n, ()), ValueError, id="DisjointFamily"),
+            pytest.param(lambda n: first_violation(SudokuGrid(n, ())), GridFormatError,
+                         id="first_violation"),
+            pytest.param(lambda n: next(iter_grids(n)), ValueError, id="iter_grids"),
+            pytest.param(count_grids, ValueError, id="count_grids"),
+            pytest.param(count_cliques, ValueError, id="count_cliques"),
+            pytest.param(lambda n: sample_family(n, 0), ValueError, id="sample_family"),
+            pytest.param(lambda n: clique_count_from_grid_count(288, n), ValueError,
+                         id="clique_count_from_grid_count"),
+        ],
+    )
+    # True == 1 and 2.0 == 2, but neither is a block order
+    @pytest.mark.parametrize(
+        "n,message",
+        [
+            (0, "block order must be >= 1, got 0"),
+            (-1, "block order must be >= 1, got -1"),
+            (True, "block order must be an int, got True"),
+            (2.0, "block order must be an int, got 2.0"),
+        ],
+        ids=["0", "-1", "True", "2.0"],
+    )
+    def test_rejects_bad_order(self, call, error, n, message):
+        with pytest.raises(ValueError) as caught:
+            call(n)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
 
 class TestCounting:
@@ -154,6 +201,11 @@ class TestCellIndex:
             matrix_at(2, 16)
         with pytest.raises(IndexError):
             matrix_at(2, -1)
+        # True == 1.0 == 1, but neither a bool nor a float is an index
+        with pytest.raises(IndexError, match="matrix index True outside 0..15"):
+            matrix_at(2, True)
+        with pytest.raises(IndexError, match=r"matrix index 1\.0 outside 0..15"):
+            matrix_at(2, 1.0)
 
     def test_matrix_at_cap(self, monkeypatch):
         # refused before any n!-sized work: no word list, no count past n = 5

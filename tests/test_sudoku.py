@@ -239,6 +239,11 @@ class TestKnownCounts:
         with pytest.raises(ValueError, match="not divisible"):
             clique_count_from_grid_count(289, 2)
 
+    def test_negative_count_rejected(self):
+        # -288 is divisible by 4!, but no count of grids is negative
+        with pytest.raises(ValueError, match="grid count must be >= 0, got -288"):
+            clique_count_from_grid_count(-288, 2)
+
 
 class TestSampler:
     def test_deterministic_for_a_seed(self):
