@@ -34,16 +34,26 @@ from itertools import combinations_with_replacement, permutations
 from math import factorial, prod
 from typing import Iterator, NamedTuple
 
-from .sperm import check_cap
+from .sperm import check_cap, check_order
 
 CATALOG_CAP = 5  # n=6 would walk C(69, 6) ~ 1.2e8 sorted row tuples
 
 
-class Bigraph(NamedTuple):
-    """Biadjacency matrix packed into an integer, MSB-first row-major."""
-
+class _BigraphFields(NamedTuple):
     n: int
     code: int
+
+
+class Bigraph(_BigraphFields):
+    """Biadjacency matrix packed into an integer, MSB-first row-major; the
+    side size is checked on construction (``_make`` and ``_replace`` too)."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, n: int, code: int) -> Bigraph:
+        check_order(n)
+        return super().__new__(cls, n, code)
 
     def bit(self, r: int, c: int) -> int:
         """Entry at 0-based row r, column c."""
@@ -59,6 +69,7 @@ class Bigraph(NamedTuple):
 
 
 def from_edges(n: int, edges) -> Bigraph:
+    check_order(n)
     code = 0
     for r, c in edges:
         if not (0 <= r < n and 0 <= c < n):

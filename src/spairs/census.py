@@ -7,33 +7,30 @@ is column g's cell for every matrix, in enumeration order.  Under one
 ``row_perms`` and on ``col_perms[t]``, so ``column_table`` maps a column
 permutation to those n cells, and C-level ``map`` and ``join`` do the
 per-matrix work.  ``cell_index`` reads one Python int per cell off its
-column's row, with bit j set iff matrix j covers the cell.  Matrix i shares a
-cell with matrix j iff bit j is set in the OR of the bitsets of i's n² cells,
-so i's disjoint partners number N minus the popcount of that OR; every pair
-is still tested by its own bit.
+column's row, with bit j set iff matrix j covers the cell.
 
-The scan walks the matrices by their block permutations, in (n!)^n groups
-that share ``row_perms``.  Per block column, a group has n! ORs of that
-column's n cell bitsets, one per column permutation: block column 1's are
-the group's heads, and the product-ORs of block columns 2 … n's, in
-enumeration order, are its tails, so row (h, r) shares a cell with exactly
-the matrices in h | r.  The traversal enumerates the rows itself, and a
-popcount does not depend on which bit stands for which matrix, so the count
-is exact under any bit labelling of the bitsets.  ``run_census`` sums a
-group's covered matrices, Σ_h (T·|h| + Σ_r |r ∖ h|) over its T tails, by a
-bit-sliced count of the tails and a few popcounts per head, not one per row;
-``degree_histogram`` tallies each row's count, N − |h | r|.
+The scan walks the rows, matrices i, by their block permutations, in (n!)^n
+groups that share ``row_perms``; lane j, bit j of every bitset, is matrix j.
+Row i misses lane j iff bit j is clear in the OR of the n cell bitsets of
+each of i's block columns.  In a group, block column t has n! such ORs, its
+options, which depend only on t and column t of ``row_perms``, so lane j's
+partner count is Σ over groups of Π over t of u_t(j), the number of column
+t's options that miss j.  Each u_t is one bit-sliced counter over the lanes,
+and each group's product is expanded over the counters' slices into one
+bit-sliced accumulator; splitting the lanes by its slices gives the tally.
+Every pair is still decided by j's own bit in i's cells, and no count
+depends on which bit stands for which matrix.
 
 Every call uses every CPU the process may run on, unless ``workers`` caps
 it.  Once the bitsets are built, the groups are cut into one contiguous span
-per process and ``os.fork`` starts one child per span after the first; each
-child inherits the bitsets copy-on-write, reduces its span and writes its row
-count, partner-count sum and tally to a pipe as decimal text.  The parent
-reduces the first span, then reads and reaps every child.  The parts are
-exact ints, so the result is identical for any worker count; their rows
-must sum to the matrix count, so a span counted twice or lost is an error.
-Where ``os.fork`` is missing, or another thread is alive, the scan runs in
-one process.
+per process, and each span owns its groups' lanes.  ``os.fork`` starts one
+child per span after the first; each child inherits the bitsets
+copy-on-write, walks every row against its lanes and writes its row count,
+partner-count sum and tally to a pipe as decimal text.  The parent counts
+the first span, then reads and reaps every child.  The parts are exact ints,
+so the result is identical for any worker count.  Each span must walk every
+row and the tallies must count every matrix once.  Where ``os.fork`` is
+missing, or another thread is alive, the scan runs in one process.
 """
 
 from __future__ import annotations
@@ -44,9 +41,9 @@ import sys
 import time
 from collections import Counter
 from functools import cache, reduce
-from itertools import groupby, islice, permutations, product
+from itertools import groupby, permutations, product
 from operator import attrgetter, or_
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .sperm import Perm, check_cap, enumerate_matrices, matrix_count
 
@@ -110,57 +107,51 @@ def cell_index(columns: memoryview) -> list[int]:
     return bitsets
 
 
-def _order(bitsets: list[int]) -> int:
-    return math.isqrt(math.isqrt(len(bitsets)))  # n, since there are n⁴ cells
+def _add(slices: list[int], k: int, bits: int) -> None:
+    """Add 2^k to the count of each lane set in ``bits``; slice i holds bit i of every count."""
+    while bits:
+        slices[k], bits = slices[k] ^ bits, slices[k] & bits
+        k += 1
 
 
-def _groups(bitsets: list[int], g0: int, g1: int) -> Iterator[tuple[list[int], list[int]]]:
-    """(heads, tails) for each ``row_perms`` group in [g0, g1), enumeration order.
+def _span(bitsets: list[int], g0: int, g1: int) -> tuple[int, int, Counter]:
+    """Rows walked, and the partner counts' sum and tally, for the matrices of groups [g0, g1).
 
-    The group's rows are (h, r) for each head h, then each tail r, and row
-    (h, r) shares a cell with exactly the matrices in h | r.
+    Those matrices are lanes [g0·R, g1·R), R = (n!)^n, and every group is
+    walked.  One more lane, held by no cell, is missed by every option, so
+    its count is the number of rows walked.
     """
-    n = _order(bitsets)
-    words = list(permutations(range(1, n + 1)))
-    for rows in islice(product(words, repeat=n), g0, g1):
-        heads, *rest = ([reduce(or_, map(bitsets.__getitem__, cells)) for cells in
-                         column_table(n, t, tuple(row[t] for row in rows)).values()]
-                        for t in range(n))
-        tails = [0]
-        for table in rest:
-            tails = [r | c for r in tails for c in table]
-        yield heads, tails
+    n = math.isqrt(math.isqrt(len(bitsets)))  # there are n⁴ cells
+    per_group = math.factorial(n) ** n
+    lanes = (g1 - g0) * per_group
+    mask = (1 << lanes) - 1
+    full = mask | 1 << lanes  # the lanes and the row-counting lane
+    cells = [b >> g0 * per_group & mask for b in bitsets]
 
+    @cache
+    def misses(t: int, column: Perm) -> list[int]:
+        # how many of block column t's options miss each lane, bit-sliced
+        slices = [0] * math.factorial(n).bit_length()
+        for option in column_table(n, t, column).values():
+            _add(slices, 0, full ^ reduce(or_, map(cells.__getitem__, option)))
+        return slices
 
-def _span_pairs(bitsets: list[int], g0: int, g1: int) -> tuple[int, int, Counter]:
-    """Groups [g0, g1)'s row count and partner-count sum, and an empty tally.
-
-    Slice k of a ripple-carry counter holds bit k of how many of a group's
-    tails hold each matrix, so Σ_r |r ∖ h| is Σ_k 2^k·|slice k ∖ h|.
-    """
-    total = matrix_count(_order(bitsets))
-    rows = covered = 0
-    for heads, tails in _groups(bitsets, g0, g1):
-        slices: list[int] = []
-        for carry in tails:
-            for k, s in enumerate(slices):
-                slices[k], carry = s ^ carry, s & carry
-            if carry:
-                slices.append(carry)
-        rows += len(heads) * len(tails)
-        for h in heads:
-            outside = ~h
-            covered += len(tails) * h.bit_count()
-            covered += sum((s & outside).bit_count() << k for k, s in enumerate(slices))
-    return rows, total * rows - covered, Counter()
-
-
-def _span_partners(bitsets: list[int], g0: int, g1: int) -> tuple[int, int, Counter]:
-    """Groups [g0, g1)'s row count, partner-count sum and tally of partner counts."""
-    total = matrix_count(_order(bitsets))
-    tally = Counter(total - (h | r).bit_count()
-                    for heads, tails in _groups(bitsets, g0, g1) for h in heads for r in tails)
-    return tally.total(), sum(c * f for c, f in tally.items()), tally
+    acc = [0] * matrix_count(n).bit_length()  # no count exceeds the matrix count
+    for group in product(permutations(range(1, n + 1)), repeat=n):
+        # expand the product over the counters' slices, dropping empty terms
+        terms = [(0, full)]
+        for t, column in enumerate(zip(*group)):
+            terms = [(w + k, b) for w, a in terms
+                     for k, s in enumerate(misses(t, column)) if (b := a & s)]
+        for w, a in terms:
+            _add(acc, w, a)
+    rows = sum((s >> lanes & 1) << k for k, s in enumerate(acc))
+    parts = [(0, mask)]  # (count so far, lanes with it), split by each slice
+    for k in reversed(range(len(acc))):
+        parts = [(v | bit << k, b) for v, a in parts
+                 for bit, b in ((1, a & acc[k]), (0, a & ~acc[k])) if b]
+    tally = Counter({v: a.bit_count() for v, a in parts})
+    return rows, sum(v * c for v, c in tally.items()), tally
 
 
 def check_census_cap(n: int) -> None:
@@ -168,8 +159,8 @@ def check_census_cap(n: int) -> None:
     check_cap(n, CENSUS_CAP, f"census at block order {n} means ~({n}!)^{4 * n}/2 pair tests")
 
 
-def _fork_span(bitsets: list[int], g0: int, g1: int, span) -> tuple[int, int]:
-    """Fork a child that runs ``span`` on groups [g0, g1); return its pid and pipe's read end.
+def _fork_span(bitsets: list[int], g0: int, g1: int) -> tuple[int, int]:
+    """Fork a child that runs ``_span`` on groups [g0, g1); return its pid and pipe's read end.
 
     The child writes its rows, its sum and its tally's ``count freq`` pairs
     as decimal text and leaves by ``os._exit``, so it never returns into the
@@ -185,7 +176,7 @@ def _fork_span(bitsets: list[int], g0: int, g1: int, span) -> tuple[int, int]:
     if pid == 0:
         try:
             os.close(r)
-            rows, ordered, tally = span(bitsets, g0, g1)
+            rows, ordered, tally = _span(bitsets, g0, g1)
             fields = [rows, ordered, *(x for item in tally.items() for x in item)]
             text = memoryview(" ".join(map(str, fields)).encode())
             while text:
@@ -204,13 +195,14 @@ def _read_all(fd: int) -> bytes:
     return b"".join(chunks)
 
 
-def _scan(n: int, workers: int | None, span) -> tuple[int, Counter, int]:
+def _scan(n: int, workers: int | None) -> tuple[int, Counter, int]:
     """The partner-count sum, the merged tally and the matrix count.
 
-    ``span`` reduces groups [g0, g1) to their row count, sum and tally, in
+    ``_span`` counts the partners of the matrices in groups [g0, g1), in
     ``min(workers or CPUs, CPUs, groups)`` processes, one contiguous span
     each.  Raises RuntimeError if a child process fails, and ArithmeticError
-    if the spans do not cover every row once or the sum is odd.
+    if a span did not walk every row, the spans do not count every matrix
+    once, or the sum is odd.
     """
     check_census_cap(n)
     if workers is not None and (type(workers) is not int or workers < 1):
@@ -234,8 +226,8 @@ def _scan(n: int, workers: int | None, span) -> tuple[int, Counter, int]:
     children: list[tuple[int, int]] = []  # pid, read end of its pipe
     try:
         for g0, g1 in zip(cuts[1:], cuts[2:]):
-            children.append(_fork_span(bitsets, g0, g1, span))
-        rows, ordered, tally = span(bitsets, 0, cuts[1])
+            children.append(_fork_span(bitsets, g0, g1))
+        parts = [_span(bitsets, 0, cuts[1])]
         texts = [_read_all(fd) for _pid, fd in children]
     except BaseException:
         import signal
@@ -254,14 +246,21 @@ def _scan(n: int, workers: int | None, span) -> tuple[int, Counter, int]:
             how = f"died by signal {-code}" if code < 0 else f"exited with code {code}"
             raise RuntimeError(f"census child {pid} {how}")
         try:
-            span_rows, span_sum, *fields = map(int, text.split())
-            for count, freq in zip(fields[::2], fields[1::2], strict=True):
-                tally[count] += freq
+            rows, span_sum, *fields = map(int, text.split())
+            counts = Counter(dict(zip(fields[::2], fields[1::2], strict=True)))
         except ValueError:
             raise RuntimeError(f"census child {pid} sent unparseable {text[:60]!r}") from None
-        rows, ordered = rows + span_rows, ordered + span_sum
-    if rows != total:
-        raise ArithmeticError(f"census spans at block order {n} cover {rows} rows, not {total}")
+        parts.append((rows, span_sum, counts))
+    ordered, tally = 0, Counter()
+    for g0, g1, (rows, span_sum, counts) in zip(cuts, cuts[1:], parts):
+        if rows != total:
+            raise ArithmeticError(f"census span of groups [{g0}, {g1}) at block order {n} "
+                                  f"walked {rows} rows, not {total}")
+        ordered += span_sum
+        tally.update(counts)
+    if tally.total() != total:
+        raise ArithmeticError(f"census spans at block order {n} count {tally.total()} "
+                              f"matrices, not {total}")
     if ordered % 2:
         raise ArithmeticError(f"partner counts at block order {n} sum to odd {ordered}")
     return ordered, tally, total
@@ -271,13 +270,13 @@ def run_census(n: int, workers: int | None = None) -> CensusResult:
     """Count disjoint pairs over the full matrix set by cell intersection.
 
     The ordered count is the sum of every matrix's disjoint-partner count,
-    taken by bit-sliced counters over each ``row_perms`` group's tails;
-    raises ArithmeticError if it is odd, since each unordered pair is counted
-    from both ends.  The groups are scanned on every CPU this process may run
-    on, or on at most ``workers`` processes, one contiguous span each.
+    taken lane by lane in bit-sliced counters; raises ArithmeticError if it
+    is odd, since each unordered pair is counted from both ends.  The lanes
+    are counted on every CPU this process may run on, or on at most
+    ``workers`` processes, one contiguous span of groups each.
     """
     start = time.perf_counter()
-    ordered, _tally, total = _scan(n, workers, _span_pairs)
+    ordered, _tally, total = _scan(n, workers)
     elapsed = time.perf_counter() - start
     return CensusResult(n, ordered, ordered // 2, total, elapsed)
 
@@ -285,9 +284,9 @@ def run_census(n: int, workers: int | None = None) -> CensusResult:
 def degree_histogram(n: int) -> dict[int, int]:
     """Map from disjoint-partner count to how many matrices have it.
 
-    Row (h, r)'s count is N − |h | r|, over the groups ``run_census`` sums.
-    The mass sum(count * frequency) is the ordered pair count, so it must be
-    even.  The groups are tallied on every CPU, as in ``run_census``.
+    The counts are the lanes' counts that ``run_census`` sums, split by
+    value.  The mass sum(count * frequency) is the ordered pair count, so it
+    must be even.  The lanes are counted on every CPU, as in ``run_census``.
     """
-    _ordered, tally, _total = _scan(n, None, _span_partners)
+    _ordered, tally, _total = _scan(n, None)
     return dict(tally)

@@ -206,6 +206,7 @@ def mask_is_valid(n: int, bits: int) -> bool:
     Reads only the bits, never the permutation parameterization, so it
     serves as an independent validity oracle for generated matrices.
     """
+    check_order(n)
     n2 = n * n
     rows = [0] * n2
     cols = [0] * n2

@@ -165,10 +165,17 @@ def decompose(grid: SudokuGrid) -> DisjointFamily:
 def recompose(
     family: DisjointFamily, weights: Sequence[int] | None = None
 ) -> SudokuGrid:
-    """Weighted sum of a complete family; weights default to 1..n² in order."""
+    """Weighted sum of a complete family; weights default to 1..n² in order.
+
+    Raises ValueError if the family has fewer than n² members, since its sum
+    would leave cells of the grid empty.
+    """
     n, n2 = family.n, family.n * family.n
+    if not family.complete:
+        raise ValueError(f"family of {len(family.members)} members is not complete: "
+                         f"a grid takes n² = {n2}")
     if weights is None:
-        weights = range(1, len(family.members) + 1)
+        weights = range(1, n2 + 1)
     weights = list(weights)
     if len(weights) != len(family.members):
         raise ValueError(

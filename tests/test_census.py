@@ -5,6 +5,7 @@ import signal
 import threading
 import time
 from collections import Counter
+from functools import cache
 from itertools import groupby, islice
 from operator import attrgetter
 
@@ -171,127 +172,135 @@ def test_each_entry_point_builds_the_index_once(monkeypatch):
     assert calls == expected
 
 
-def _naive_count(bitsets, m):
-    # N minus the popcount of the OR of the bitsets of the n² cells that
-    # matrix m's mask holds
-    bits, acc = m.mask, 0
-    while bits:
-        low = bits & -bits
-        acc |= bitsets[low.bit_length() - 1]
-        bits ^= low
-    return matrix_count(m.n) - acc.bit_count()
-
-
-def _naive_counts(bitsets, n, g0, g1):
-    # rows of groups [g0, g1) are the matrices the enumeration yields there,
-    # (n!)^n per row_perms group
-    rows = math.factorial(n) ** n
-    return [_naive_count(bitsets, m)
-            for m in islice(enumerate_matrices(n), g0 * rows, g1 * rows)]
-
-
 def _with_random_bitsets(bitsets, n, seed):
-    # every matrix has the same partner count, so a traversal that hands a
-    # row the OR of the wrong cells can still give the right count; random
-    # bitsets make each row's count depend on exactly its own cells
+    # every matrix has the same partner count, so a kernel that counts a
+    # lane against the wrong cells can still give the right count; random
+    # bitsets make each lane's count depend on exactly its own bits
     rng = random.Random(seed)
     return [rng.getrandbits(matrix_count(n)) for _ in bitsets]
 
 
-def _traversal_counts(bitsets, n, g0, g1):
-    # N - |h | r| for each row the shared traversal gives, in row order
-    total = matrix_count(n)
-    return [total - (h | r).bit_count()
-            for heads, tails in census._groups(bitsets, g0, g1) for h in heads for r in tails]
+def _reference(bitsets, n, spans):
+    # per span [g0, g1) of groups, in one pass over the matrices i: the
+    # tally, over its lanes j, of how many i have bit j clear in the OR of
+    # the bitsets of the cells i's mask holds, and those (i, j) counted from
+    # each row's side, as the span's lanes that i's OR misses
+    total, per_group = matrix_count(n), math.factorial(n) ** n
+    lanes = {(g0, g1): (g0 * per_group, (g1 - g0) * per_group) for g0, g1 in spans}
+    counters = {span: [] for span in spans}  # slice k: bit k of each lane's hits
+    misses = dict.fromkeys(spans, 0)
+    for m in enumerate_matrices(n):
+        bits, cover = m.mask, 0
+        while bits:
+            low = bits & -bits
+            cover |= bitsets[low.bit_length() - 1]
+            bits ^= low
+        for span, (lo, width) in lanes.items():
+            carry = cover >> lo & (1 << width) - 1
+            misses[span] += width - carry.bit_count()
+            slices, k = counters[span], 0
+            while carry:
+                if k == len(slices):
+                    slices.append(0)
+                slices[k], carry = slices[k] ^ carry, slices[k] & carry
+                k += 1
+    out = {}
+    for span, (lo, width) in lanes.items():
+        # lane j's hits, in binary, are bit j of each slice, the highest
+        # first; the i with bit j clear are the rest
+        digits = [format(s, f"0{width}b") for s in reversed(counters[span])] or ["0" * width]
+        out[span] = Counter(total - int("".join(bits), 2) for bits in zip(*digits)), misses[span]
+    return out
 
 
-def _assert_histogram_span(bitsets, n, g0, g1):
-    naive = _naive_counts(bitsets, n, g0, g1)
-    assert _traversal_counts(bitsets, n, g0, g1) == naive
-    assert census._span_partners(bitsets, g0, g1) == (len(naive), sum(naive), Counter(naive))
+# every span at n = 2, and at n = 3 one from the middle of the range and all
+SPANS = {2: [(g0, g1) for g0 in range(5) for g1 in range(g0, 5)], 3: [(100, 103), (0, 216)]}
 
 
-def _assert_pairs_span(bitsets, n, g0, g1):
-    naive = _naive_counts(bitsets, n, g0, g1)
-    assert census._span_pairs(bitsets, g0, g1) == (len(naive), sum(naive), Counter())
+@cache
+def _case(n, seed):
+    # the census's bitsets, or random ones, and their reference per span
+    bitsets = cell_index(mask_words(n))
+    if seed is not None:
+        bitsets = _with_random_bitsets(bitsets, n, seed)
+    return bitsets, _reference(bitsets, n, SPANS[n])
+
+
+def _assert_tallies(bitsets, n, reference):
+    # every row walked, and the lanes' counts as the reference counts them
+    for (g0, g1), (tally, _misses) in reference.items():
+        mass = sum(c * f for c, f in tally.items())
+        assert census._span(bitsets, g0, g1) == (matrix_count(n), mass, tally)
+
+
+def _assert_sums(bitsets, n, reference):
+    # every row walked, and the sum of the counts read from the rows' side
+    for (g0, g1), (_tally, misses) in reference.items():
+        assert census._span(bitsets, g0, g1)[:2] == (matrix_count(n), misses)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_groups_are_heads_by_tails(n):
-    # one group per row_perms tuple: block column 1's n! ORs as heads, and
-    # the product of the other n - 1 block columns' n! ORs as tails
-    f = math.factorial(n)
-    groups = census._groups(cell_bitsets(n), 0, f ** n)
-    assert [(len(heads), len(tails)) for heads, tails in groups] == [(f, f ** (n - 1))] * f ** n
+def test_spans_partition_the_lanes(n):
+    # span [g0, g1) counts lanes [g0·R, g1·R) against every row, so the two
+    # spans of any cut of the groups add up to the whole range
+    bitsets = _with_random_bitsets(cell_bitsets(n), n, 5)
+    groups = math.factorial(n) ** n
+    whole = census._span(bitsets, 0, groups)
+    for k in sorted({0, 1, groups // 3, groups}):
+        parts = [census._span(bitsets, 0, k), census._span(bitsets, k, groups)]
+        assert [rows for rows, _, _ in parts] == [matrix_count(n)] * 2
+        assert sum(ordered for _, ordered, _ in parts) == whole[1]
+        assert parts[0][2] + parts[1][2] == whole[2]
 
 
 class TestPartnerKernel:
-    # the histogram reduction: every row (h, r) of every group must get its
-    # own count
+    # the tally of the lanes' partner counts, against the reference's
 
     @pytest.mark.parametrize("seed", [None, 1])
     def test_every_row_n2(self, seed):
-        bitsets = cell_index(mask_words(2))
-        if seed is not None:
-            bitsets = _with_random_bitsets(bitsets, 2, seed)
-        for g0 in range(5):
-            for g1 in range(g0, 5):
-                _assert_histogram_span(bitsets, 2, g0, g1)
+        bitsets, reference = _case(2, seed)
+        _assert_tallies(bitsets, 2, reference)
 
     @pytest.mark.parametrize("seed", [None, 2])
-    def test_sampled_rows_n3(self, bitsets3, seed):
-        bitsets = bitsets3 if seed is None else _with_random_bitsets(bitsets3, 3, seed)
-        total = matrix_count(3)
-        kernel = _traversal_counts(bitsets, 3, 0, 216)
-        picks = set(random.Random(7).sample(range(total), 64))
-        for j, m in enumerate(enumerate_matrices(3)):
-            if j in picks:
-                assert kernel[j] == _naive_count(bitsets, m)
-        assert census._span_partners(bitsets, 0, 216) == (total, sum(kernel), Counter(kernel))
-        # a span of groups from the middle of the range
-        _assert_histogram_span(bitsets, 3, 100, 103)
+    def test_sampled_rows_n3(self, seed):
+        bitsets, reference = _case(3, seed)
+        _assert_tallies(bitsets, 3, reference)
 
 
 class TestPairsKernel:
-    # the sum reduction counts a group's pairs from each head and bit-sliced
-    # counts of its tails; its sum must equal the per-row counts' sum over
-    # any span of groups
+    # the partner-count sum, against the same pairs counted row by row
 
     @pytest.mark.parametrize("seed", [None, 1])
     def test_every_span_n2(self, seed):
-        bitsets = cell_index(mask_words(2))
-        if seed is not None:
-            bitsets = _with_random_bitsets(bitsets, 2, seed)
-        for g0 in range(5):
-            for g1 in range(g0, 5):
-                _assert_pairs_span(bitsets, 2, g0, g1)
+        bitsets, reference = _case(2, seed)
+        _assert_sums(bitsets, 2, reference)
 
     @pytest.mark.parametrize("seed", [None, 2])
-    def test_mid_run_span_n3(self, bitsets3, seed):
-        bitsets = bitsets3 if seed is None else _with_random_bitsets(bitsets3, 3, seed)
-        _assert_pairs_span(bitsets, 3, 100, 103)
+    def test_mid_run_span_n3(self, seed):
+        bitsets, reference = _case(3, seed)
+        _assert_sums(bitsets, 3, {(100, 103): reference[100, 103]})
 
-    def test_every_row_n3_with_random_bitsets(self, bitsets3):
-        _assert_pairs_span(_with_random_bitsets(bitsets3, 3, 4), 3, 0, 216)
+    def test_every_row_n3_with_random_bitsets(self):
+        bitsets, reference = _case(3, 2)
+        _assert_sums(bitsets, 3, {(0, 216): reference[0, 216]})
 
     @pytest.mark.parametrize("bitset", [None, 0])
     def test_n1_has_no_cells_past_the_run_prefix(self, bitset):
-        # n = 1: block column 1 is the whole row, so the one tail is 0
-        bitsets = cell_index(mask_words(1))
-        if bitset is not None:
-            bitsets = [bitset]
-        assert list(census._groups(bitsets, 0, 1)) == [(bitsets, [0])]
-        _assert_pairs_span(bitsets, 1, 0, 1)
-        _assert_histogram_span(bitsets, 1, 0, 1)
+        # n = 1: one cell, one group, one row and one lane, which the row
+        # misses only if the cell's bitset does not hold it
+        bitsets = cell_index(mask_words(1)) if bitset is None else [bitset]
+        reference = _reference(bitsets, 1, [(0, 1)])
+        assert reference[0, 1][0] == ({0: 1} if bitset is None else {1: 1})
+        _assert_tallies(bitsets, 1, reference)
+        _assert_sums(bitsets, 1, reference)
 
 
 def _each_entry_point(wrap):
-    # each census entry point at n = 2, while the span function it calls,
-    # and only that one, is replaced by wrap(real function)
-    for name, call in (("_span_pairs", lambda: run_census(2)),
-                       ("_span_partners", lambda: degree_histogram(2))):
+    # each census entry point at n = 2, while ``_span``, which both call,
+    # is replaced by wrap(_span)
+    for call in (lambda: run_census(2), lambda: degree_histogram(2)):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(census, name, wrap(getattr(census, name)))
+            patch.setattr(census, "_span", wrap(census._span))
             yield call
 
 
@@ -409,7 +418,7 @@ class TestFork:
             _assert_no_children()
         assert len(forks) == 6
 
-    def test_a_lost_row_is_an_internal_error(self, forks, cpus, monkeypatch):
+    def test_a_lost_row_is_an_internal_error(self, forks, cpus):
         def wrap(real):
             def drops_a_row(index, i0, i1):
                 rows, ordered, tally = real(index, i0, i1)
@@ -418,24 +427,51 @@ class TestFork:
 
         cpus(2)
         for call in _each_entry_point(wrap):
-            with pytest.raises(ArithmeticError, match="cover 15 rows, not 16"):
+            with pytest.raises(ArithmeticError, match=r"groups \[0, 2\) .* walked 15 rows, not 16"):
                 call()
-        # a tail the shared traversal loses is lost to both reductions, once
-        # under each of the group's 2 heads
-        real = census._groups
+        # a group or a column option the kernel loses is lost to every lane,
+        # so every span's count of the rows it walked falls short
+        product, table = census.product, census.column_table
 
-        def traversal_drops_a_tail(bitsets, g0, g1):
-            groups = real(bitsets, g0, g1)
-            if g0 == 0:
-                heads, tails = next(groups)
-                yield heads, tails[1:]
-            yield from groups
+        def drops_a_group(*args, **kwargs):
+            return islice(product(*args, **kwargs), 1, None)  # 4 of the 16 rows
 
-        monkeypatch.setattr(census, "_groups", traversal_drops_a_tail)
-        for call in _each_entry_point(lambda real: real):
-            with pytest.raises(ArithmeticError, match="cover 14 rows, not 16"):
+        def drops_an_option(n, t, column):
+            options = list(table(n, t, column).items())
+            return dict(options[1:] if t == 0 else options)  # half of each group's rows
+
+        def losing(name, lossy):
+            # the kernel, run with census.<name> replaced by lossy
+            def wrap(real):
+                def lossy_span(index, i0, i1):
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(census, name, lossy)
+                        return real(index, i0, i1)
+                return lossy_span
+            return wrap
+
+        for name, lossy, rows in (("product", drops_a_group, 12),
+                                  ("column_table", drops_an_option, 8)):
+            for call in _each_entry_point(losing(name, lossy)):
+                with pytest.raises(ArithmeticError, match=f"walked {rows} rows, not 16"):
+                    call()
+        assert len(forks) == 6
+        _assert_no_children()
+
+    def test_a_lost_lane_is_an_internal_error(self, forks, cpus):
+        def wrap(real):
+            def drops_a_lane(index, i0, i1):
+                rows, ordered, tally = real(index, i0, i1)
+                if i0:
+                    tally[min(tally)] -= 1
+                return rows, ordered, tally
+            return drops_a_lane
+
+        cpus(2)
+        for call in _each_entry_point(wrap):
+            with pytest.raises(ArithmeticError, match="count 15 matrices, not 16"):
                 call()
-        assert len(forks) == 4
+        assert len(forks) == 2
         _assert_no_children()
 
     def test_cpu_count_without_affinity(self, forks, monkeypatch):
@@ -468,8 +504,8 @@ class TestFork:
 def test_odd_partner_sum_is_an_internal_error(monkeypatch, capsys):
     def wrap(real):
         def one_too_many(index, i0, i1):
-            # once, at global row 0, whichever process reduces that span:
-            # that row's count and the span's sum both grow by one
+            # once, in the span that holds lane 0, whichever process counts
+            # it: one lane's count and the span's sum both grow by one
             rows, ordered, tally = real(index, i0, i1)
             if i0 == 0 and tally:
                 count = min(tally)
@@ -481,7 +517,7 @@ def test_odd_partner_sum_is_an_internal_error(monkeypatch, capsys):
     for call in _each_entry_point(wrap):
         with pytest.raises(ArithmeticError, match="odd"):
             call()
-    monkeypatch.setattr(census, "_span_pairs", wrap(census._span_pairs))
+    monkeypatch.setattr(census, "_span", wrap(census._span))
     assert cli.main(["count", "--n", "2", "--mode", "census"]) == 3
     assert "internal consistency check failed" in capsys.readouterr().err
 

@@ -62,6 +62,17 @@ def test_disjoint_family_checks_every_construction(make, message):
         make(_matrix())
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: sp.Bigraph(n=True, code=1), lambda: sp.Bigraph(2, 1)._replace(n=True),
+     lambda: sp.Bigraph._make((True, 1))],
+    ids=["keyword", "replace", "make"],
+)
+def test_bigraph_checks_every_construction(make):
+    with pytest.raises(ValueError, match="block order must be an int, got True"):
+        make()
+
+
 def test_disjoint_family_keeps_a_tuple_of_a_list_of_members():
     family = sp.DisjointFamily(2, [_matrix()])
     assert family.members == (_matrix(),)

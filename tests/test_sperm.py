@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spairs import (
+    Bigraph,
     DisjointFamily,
     GridFormatError,
     SizeLimitError,
@@ -21,6 +22,7 @@ from spairs import (
     enumerate_catalog,
     enumerate_matrices,
     first_violation,
+    from_edges,
     is_disjoint,
     iter_grids,
     mask_is_valid,
@@ -85,9 +87,12 @@ class TestBuild:
                          id="enumerate_matrices"),
             pytest.param(lambda n: matrix_at(n, 0), ValueError, id="matrix_at"),
             pytest.param(cell_bitsets, ValueError, id="cell_bitsets"),
+            pytest.param(lambda n: mask_is_valid(n, 0), ValueError, id="mask_is_valid"),
             pytest.param(run_census, ValueError, id="run_census"),
             pytest.param(degree_histogram, ValueError, id="degree_histogram"),
             pytest.param(enumerate_catalog, ValueError, id="enumerate_catalog"),
+            pytest.param(lambda n: Bigraph(n, 0), ValueError, id="Bigraph"),
+            pytest.param(lambda n: from_edges(n, [(0, 0)]), ValueError, id="from_edges"),
             pytest.param(lambda n: count_ordered(n, {}), ValueError, id="count_ordered"),
             pytest.param(lambda n: DisjointFamily(n, ()), ValueError, id="DisjointFamily"),
             pytest.param(lambda n: first_violation(SudokuGrid(n, ())), GridFormatError,

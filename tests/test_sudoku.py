@@ -129,11 +129,12 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="3 weights for 4 members"):
             recompose(family, (1, 2, 3))
 
-    def test_recompose_of_partial_family_leaves_holes(self):
-        family = DisjointFamily(2, decompose(VALID_4).members[:2])
-        grid = recompose(family)
-        with pytest.raises(GridFormatError, match="holds 0"):
-            decompose(grid)
+    @pytest.mark.parametrize("kept", [0, 2, 3])
+    def test_recompose_refuses_a_partial_family(self, kept):
+        # its sum would leave cells at 0, which is not a grid
+        family = DisjointFamily(2, decompose(VALID_4).members[:kept])
+        with pytest.raises(ValueError, match=f"family of {kept} members is not complete"):
+            recompose(family)
 
 
 class TestDisjointFamily:
