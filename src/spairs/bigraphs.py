@@ -46,13 +46,16 @@ class _BigraphFields(NamedTuple):
 
 class Bigraph(_BigraphFields):
     """Biadjacency matrix packed into an integer, MSB-first row-major; the
-    side size is checked on construction (``_make`` and ``_replace`` too)."""
+    side size and the code, an int in 0..2^(n²)−1, are checked on
+    construction (``_make`` and ``_replace`` too)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, n: int, code: int) -> Bigraph:
         check_order(n)
+        if type(code) is not int or not 0 <= code < 1 << n * n:  # bool is refused too
+            raise ValueError(f"code must be an int in 0..2^{n * n}-1, got {code!r}")
         return super().__new__(cls, n, code)
 
     def bit(self, r: int, c: int) -> int:
@@ -72,8 +75,8 @@ def from_edges(n: int, edges) -> Bigraph:
     check_order(n)
     code = 0
     for r, c in edges:
-        if not (0 <= r < n and 0 <= c < n):
-            raise ValueError(f"edge ({r}, {c}) out of range for side size {n}")
+        if type(r) is not int or type(c) is not int or not (0 <= r < n and 0 <= c < n):
+            raise ValueError(f"edge ({r!r}, {c!r}) is not two ints in 0..{n - 1}")
         code |= 1 << (n * n - 1 - (r * n + c))
     return Bigraph(n, code)
 

@@ -25,12 +25,13 @@ Every call uses every CPU the process may run on, unless ``workers`` caps
 it.  Once the bitsets are built, the groups are cut into one contiguous span
 per process, and each span owns its groups' lanes.  ``os.fork`` starts one
 child per span after the first; each child inherits the bitsets
-copy-on-write, walks every row against its lanes and writes its row count,
-partner-count sum and tally to a pipe as decimal text.  The parent counts
-the first span, then reads and reaps every child.  The parts are exact ints,
-so the result is identical for any worker count.  Each span must walk every
-row and the tallies must count every matrix once.  Where ``os.fork`` is
-missing, or another thread is alive, the scan runs in one process.
+copy-on-write, walks every row against its lanes and writes its row count
+and tally to a pipe as decimal text.  The parent counts the first span,
+then reads and reaps every child.  The parts are exact ints, so the result
+is identical for any worker count.  Each span must walk every row, the
+tallies must count every matrix once, and the merged tally's mass, the
+ordered pair count, must be even.  Where ``os.fork`` is missing, or another
+thread is alive, the scan runs in one process.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ def _add(slices: list[int], k: int, bits: int) -> None:
         k += 1
 
 
-def _span(bitsets: list[int], g0: int, g1: int) -> tuple[int, int, Counter]:
-    """Rows walked, and the partner counts' sum and tally, for the matrices of groups [g0, g1).
+def _span(bitsets: list[int], g0: int, g1: int) -> tuple[int, Counter]:
+    """Rows walked, and the partner counts' tally, for the matrices of groups [g0, g1).
 
     Those matrices are lanes [g0·R, g1·R), R = (n!)^n, and every group is
     walked.  One more lane, held by no cell, is missed by every option, so
@@ -150,8 +151,7 @@ def _span(bitsets: list[int], g0: int, g1: int) -> tuple[int, int, Counter]:
     for k in reversed(range(len(acc))):
         parts = [(v | bit << k, b) for v, a in parts
                  for bit, b in ((1, a & acc[k]), (0, a & ~acc[k])) if b]
-    tally = Counter({v: a.bit_count() for v, a in parts})
-    return rows, sum(v * c for v, c in tally.items()), tally
+    return rows, Counter({v: a.bit_count() for v, a in parts})
 
 
 def check_census_cap(n: int) -> None:
@@ -162,8 +162,8 @@ def check_census_cap(n: int) -> None:
 def _fork_span(bitsets: list[int], g0: int, g1: int) -> tuple[int, int]:
     """Fork a child that runs ``_span`` on groups [g0, g1); return its pid and pipe's read end.
 
-    The child writes its rows, its sum and its tally's ``count freq`` pairs
-    as decimal text and leaves by ``os._exit``, so it never returns into the
+    The child writes its rows and its tally's ``count freq`` pairs as
+    decimal text and leaves by ``os._exit``, so it never returns into the
     caller's stack and never flushes the stdio buffers it inherited.
     """
     r, w = os.pipe()
@@ -176,11 +176,10 @@ def _fork_span(bitsets: list[int], g0: int, g1: int) -> tuple[int, int]:
     if pid == 0:
         try:
             os.close(r)
-            rows, ordered, tally = _span(bitsets, g0, g1)
-            fields = [rows, ordered, *(x for item in tally.items() for x in item)]
-            text = memoryview(" ".join(map(str, fields)).encode())
-            while text:
-                text = text[os.write(w, text):]
+            rows, tally = _span(bitsets, g0, g1)
+            with open(w, "wb") as pipe:
+                fields = [rows, *(x for item in tally.items() for x in item)]
+                pipe.write(" ".join(map(str, fields)).encode())
             os._exit(0)
         finally:
             os._exit(1)
@@ -188,21 +187,14 @@ def _fork_span(bitsets: list[int], g0: int, g1: int) -> tuple[int, int]:
     return pid, r
 
 
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
 def _scan(n: int, workers: int | None) -> tuple[int, Counter, int]:
-    """The partner-count sum, the merged tally and the matrix count.
+    """The ordered pair count, the merged tally and the matrix count.
 
     ``_span`` counts the partners of the matrices in groups [g0, g1), in
     ``min(workers or CPUs, CPUs, groups)`` processes, one contiguous span
-    each.  Raises RuntimeError if a child process fails, and ArithmeticError
-    if a span did not walk every row, the spans do not count every matrix
-    once, or the sum is odd.
+    each; the pair count is the merged tally's mass.  Raises RuntimeError if
+    a child process fails, and ArithmeticError if a span did not walk every
+    row, the spans do not count every matrix once, or the mass is odd.
     """
     check_census_cap(n)
     if workers is not None and (type(workers) is not int or workers < 1):
@@ -228,7 +220,7 @@ def _scan(n: int, workers: int | None) -> tuple[int, Counter, int]:
         for g0, g1 in zip(cuts[1:], cuts[2:]):
             children.append(_fork_span(bitsets, g0, g1))
         parts = [_span(bitsets, 0, cuts[1])]
-        texts = [_read_all(fd) for _pid, fd in children]
+        texts = [open(fd, "rb", closefd=False).read() for _pid, fd in children]
     except BaseException:
         import signal
 
@@ -246,21 +238,21 @@ def _scan(n: int, workers: int | None) -> tuple[int, Counter, int]:
             how = f"died by signal {-code}" if code < 0 else f"exited with code {code}"
             raise RuntimeError(f"census child {pid} {how}")
         try:
-            rows, span_sum, *fields = map(int, text.split())
+            rows, *fields = map(int, text.split())
             counts = Counter(dict(zip(fields[::2], fields[1::2], strict=True)))
         except ValueError:
             raise RuntimeError(f"census child {pid} sent unparseable {text[:60]!r}") from None
-        parts.append((rows, span_sum, counts))
-    ordered, tally = 0, Counter()
-    for g0, g1, (rows, span_sum, counts) in zip(cuts, cuts[1:], parts):
+        parts.append((rows, counts))
+    tally = Counter()
+    for g0, g1, (rows, counts) in zip(cuts, cuts[1:], parts):
         if rows != total:
             raise ArithmeticError(f"census span of groups [{g0}, {g1}) at block order {n} "
                                   f"walked {rows} rows, not {total}")
-        ordered += span_sum
         tally.update(counts)
     if tally.total() != total:
         raise ArithmeticError(f"census spans at block order {n} count {tally.total()} "
                               f"matrices, not {total}")
+    ordered = sum(count * freq for count, freq in tally.items())
     if ordered % 2:
         raise ArithmeticError(f"partner counts at block order {n} sum to odd {ordered}")
     return ordered, tally, total

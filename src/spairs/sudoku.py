@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .sperm import (
     SPermMatrix,
@@ -162,29 +162,22 @@ def decompose(grid: SudokuGrid) -> DisjointFamily:
     return DisjointFamily(n, members)
 
 
-def recompose(
-    family: DisjointFamily, weights: Sequence[int] | None = None
-) -> SudokuGrid:
-    """Weighted sum of a complete family; weights default to 1..n² in order.
+def recompose(family: DisjointFamily) -> SudokuGrid:
+    """Weighted sum of a complete family: member s-1 holds value s.
 
-    Raises ValueError if the family has fewer than n² members, since its sum
-    would leave cells of the grid empty.
+    To relabel the values, reorder the members, e.g. with
+    ``family._replace(members=...)``, which re-checks the family.  Raises
+    ValueError if the family has fewer than n² members, since its sum would
+    leave cells of the grid empty.
     """
     n, n2 = family.n, family.n * family.n
     if not family.complete:
         raise ValueError(f"family of {len(family.members)} members is not complete: "
                          f"a grid takes n² = {n2}")
-    if weights is None:
-        weights = range(1, n2 + 1)
-    weights = list(weights)
-    if len(weights) != len(family.members):
-        raise ValueError(
-            f"{len(weights)} weights for {len(family.members)} members"
-        )
     rows = [[0] * n2 for _ in range(n2)]
-    for w, member in zip(weights, family.members):
+    for s, member in enumerate(family.members, 1):
         for r, c in member.cells():
-            rows[r - 1][c - 1] = w
+            rows[r - 1][c - 1] = s
     return SudokuGrid(n, tuple(tuple(row) for row in rows))
 
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -28,6 +29,43 @@ def catalog4():
 @pytest.fixture(scope="session")
 def catalog5():
     return sp.enumerate_catalog(5)
+
+
+@pytest.fixture(scope="session")
+def burnside_class_count():
+    """The number of graph classes at side size n, counted by Burnside's lemma.
+
+    It averages over (row perm, col perm) the masks they fix, 2 to the
+    number of cell orbits, which is the gcd sum over cycle length pairs; it
+    shares no code with the catalog walk.
+    """
+
+    def cycle_lengths(perm):
+        seen = [False] * len(perm)
+        out = []
+        for start in range(len(perm)):
+            if seen[start]:
+                continue
+            length, v = 0, start
+            while not seen[v]:
+                seen[v] = True
+                v = perm[v]
+                length += 1
+            out.append(length)
+        return out
+
+    def count(n: int) -> int:
+        total = 0
+        for pr in permutations(range(n)):
+            rows = cycle_lengths(pr)
+            for pc in permutations(range(n)):
+                orbits = sum(math.gcd(a, b) for a in rows for b in cycle_lengths(pc))
+                total += 1 << orbits
+        group = math.factorial(n) ** 2
+        assert total % group == 0
+        return total // group
+
+    return count
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ import json
 import math
 import time
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
@@ -180,7 +179,8 @@ def test_criterion_07_sudoku_layer(acceptance_log):
     assert ok
 
 
-def test_criterion_08_property_suite(acceptance_log, catalog2, catalog3, all_grids2, matrices2):
+def test_criterion_08_property_suite(acceptance_log, burnside_class_count, catalog2, catalog3,
+                                     all_grids2, matrices2):
     # degree sums count each edge twice
     psi_ok = all(
         sum(i * d for i, d in enumerate(e.profile.degree_counts)) == 2 * k
@@ -189,28 +189,9 @@ def test_criterion_08_property_suite(acceptance_log, catalog2, catalog3, all_gri
     )
 
     # class totals against an independent orbit count
-    def burnside(n):
-        def cycles(p):
-            seen, out = [False] * n, []
-            for s in range(n):
-                if not seen[s]:
-                    length, v = 0, s
-                    while not seen[v]:
-                        seen[v] = True
-                        v, length = p[v], length + 1
-                    out.append(length)
-            return out
-
-        total = sum(
-            1 << sum(math.gcd(a, b) for a in cycles(pr) for b in cycles(pc))
-            for pr in permutations(range(n))
-            for pc in permutations(range(n))
-        )
-        return total // (math.factorial(n) ** 2)
-
     burnside_ok = (
-        sum(catalog2.sizes().values()) == burnside(2) == 7
-        and sum(catalog3.sizes().values()) == burnside(3) == 36
+        sum(catalog2.sizes().values()) == burnside_class_count(2) == 7
+        and sum(catalog3.sizes().values()) == burnside_class_count(3) == 36
     )
 
     # every order-2 grid splits and reassembles

@@ -1,5 +1,5 @@
 from itertools import combinations_with_replacement, permutations
-from math import factorial, gcd, prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -32,35 +32,6 @@ def relabel(g: Bigraph, row_map, col_map) -> Bigraph:
 def brute_force_orbit(g: Bigraph) -> set[int]:
     perms = list(permutations(range(g.n)))
     return {relabel(g, pr, pc).code for pr in perms for pc in perms}
-
-
-def cycle_lengths(perm):
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length, v = 0, start
-        while not seen[v]:
-            seen[v] = True
-            v = perm[v]
-            length += 1
-        out.append(length)
-    return out
-
-
-def burnside_class_count(n: int) -> int:
-    # average number of masks fixed by (row perm, col perm); a cell orbit
-    # count is the gcd sum over cycle length pairs
-    total = 0
-    for pr in permutations(range(n)):
-        rows = cycle_lengths(pr)
-        for pc in permutations(range(n)):
-            orbits = sum(gcd(a, b) for a in rows for b in cycle_lengths(pc))
-            total += 1 << orbits
-    group = len(list(permutations(range(n)))) ** 2
-    assert total % group == 0
-    return total // group
 
 
 def min_image_buckets(n: int) -> dict[int, list[CatalogEntry]]:
@@ -103,6 +74,10 @@ class TestBigraph:
     def test_from_edges_range_check(self):
         with pytest.raises(ValueError, match=r"edge \(2, 0\)"):
             from_edges(2, [(2, 0)])
+        # an endpoint is an int: True == 1 and 0.0 == 0, but neither is a vertex
+        for edge in ((True, 0), (0.0, 0), (0, False), (-1, 0)):
+            with pytest.raises(ValueError, match=rf"edge \({edge[0]!r}, {edge[1]!r}\) is not"):
+                from_edges(2, [edge])
 
     @pytest.mark.parametrize(
         "n,code,expected",
@@ -155,7 +130,7 @@ class TestCatalog:
         assert [catalog.sizes()[k] for k in range(n * n + 1)] == sizes
 
     def test_class_totals_match_burnside(
-        self, catalog2, catalog3, catalog4, catalog5
+        self, burnside_class_count, catalog2, catalog3, catalog4, catalog5
     ):
         for catalog in (catalog2, catalog3, catalog4, catalog5):
             total = sum(len(v) for v in catalog.buckets.values())

@@ -63,13 +63,25 @@ def test_disjoint_family_checks_every_construction(make, message):
 
 
 @pytest.mark.parametrize(
-    "make",
-    [lambda: sp.Bigraph(n=True, code=1), lambda: sp.Bigraph(2, 1)._replace(n=True),
-     lambda: sp.Bigraph._make((True, 1))],
-    ids=["keyword", "replace", "make"],
+    "make,message",
+    [
+        (lambda: sp.Bigraph(n=True, code=1), "block order must be an int, got True"),
+        (lambda: sp.Bigraph(2, 1)._replace(n=True), "block order must be an int, got True"),
+        (lambda: sp.Bigraph._make((True, 1)), "block order must be an int, got True"),
+        # the code is an int in 0..2^(n²)-1: -1 would read as every edge
+        (lambda: sp.Bigraph(2, 16), r"code must be an int in 0\.\.2\^4-1, got 16"),
+        (lambda: sp.Bigraph(2, 99), "got 99"),
+        (lambda: sp.Bigraph(2, -1), "got -1"),
+        (lambda: sp.Bigraph(2, True), "got True"),
+        (lambda: sp.Bigraph(2, 1.0), "got 1.0"),
+        (lambda: sp.Bigraph(2, 1)._replace(code=16), "got 16"),
+        (lambda: sp.Bigraph._make((2, -1)), "got -1"),
+    ],
+    ids=["keyword", "replace", "make", "code-past-the-top", "code-99", "code-negative",
+         "code-bool", "code-float", "replace-code", "make-code"],
 )
-def test_bigraph_checks_every_construction(make):
-    with pytest.raises(ValueError, match="block order must be an int, got True"):
+def test_bigraph_checks_every_construction(make, message):
+    with pytest.raises(ValueError, match=message):
         make()
 
 
