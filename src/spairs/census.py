@@ -1,36 +1,46 @@
 """Brute-force census of disjoint matrix pairs, independent of the formula.
 
-``mask_words`` reads each matrix's 2n block permutations and writes, as one
-byte, the cell it holds in each global column: row g of the (n², N) byte view
-is column g's cell for every matrix, in enumeration order.  Under one
+``mask_words`` reads the 2n block permutations of each matrix of a span of
+the enumeration and writes, as one byte, the cell it holds in each global
+column: row g of the (n², count) byte view is column g's cell for every
+matrix of the span, in enumeration order.  Under one
 ``row_perms`` tuple, the n cells of block column t depend only on column t of
 ``row_perms`` and on ``col_perms[t]``, so ``column_table`` maps a column
 permutation to those n cells, and C-level ``map`` and ``join`` do the
 per-matrix work.  ``cell_index`` reads one Python int per cell off its
-column's row, with bit j set iff matrix j covers the cell.
+column's row, with bit j set iff the span's matrix j covers the cell.
 
 The scan walks the rows, matrices i, by their block permutations, in (n!)^n
-groups that share ``row_perms``; lane j, bit j of every bitset, is matrix j.
-Row i misses lane j iff bit j is clear in the OR of the n cell bitsets of
-each of i's block columns.  In a group, block column t has n! such ORs, its
-options, which depend only on t and column t of ``row_perms``, so lane j's
-partner count is Σ over groups of Π over t of u_t(j), the number of column
-t's options that miss j.  Each u_t is one bit-sliced counter over the lanes,
-and each group's product is expanded over the counters' slices into one
-bit-sliced accumulator; splitting the lanes by its slices gives the tally.
-Every pair is still decided by j's own bit in i's cells, and no count
-depends on which bit stands for which matrix.
+groups that share ``row_perms``; lane j, bit j of every bitset, is the
+span's matrix j.  Row i misses lane j iff bit j is clear in the OR of the n
+cell bitsets of each of i's block columns.  In a group, block column t has
+n! such ORs, its options, which depend only on t and column t of
+``row_perms``, so lane j's partner count is Σ over groups of Π over t of
+u_t(j), the number of column t's options that miss j.  Each u_t is one
+bit-sliced counter over the lanes.  The sum is taken block column by block
+column: a group is a choice of one column of values per block column, each
+block row using each value once, so a partial group's state is the set of
+values each block row has used.  Each state's weight is the bit-sliced sum
+of Π u_t over the partial groups that reach it, and each step expands a
+weight times the counter of every column that fits over their slices into
+the grown state.  After n steps the one full state holds every lane's
+count; splitting the lanes by its slices gives the tally.  Every pair is
+still decided by j's own bit in i's cells, and no count depends on which
+bit stands for which matrix.
 
 Every call uses every CPU the process may run on, unless ``workers`` caps
-it.  Once the bitsets are built, the groups are cut into one contiguous span
-per process, and each span owns its groups' lanes.  ``os.fork`` starts one
-child per span after the first; each child inherits the bitsets
-copy-on-write, walks every row against its lanes and writes its row count
-and tally to a pipe as decimal text.  The parent counts the first span,
-then reads and reaps every child.  The parts are exact ints, so the result
-is identical for any worker count.  Each span must walk every row, the
-tallies must count every matrix once, and the merged tally's mass, the
-ordered pair count, must be even.  Where ``os.fork`` is missing, or another
+it.  The groups are cut into one contiguous span per process, and each span
+owns its groups' lanes.  The scan forks first: ``os.fork`` starts one child
+per span after the first, before any bitset exists, and each process then
+builds the bitsets of its own lanes, walks every row against them and, in
+a child, writes its row count and tally to a pipe as decimal text.  The
+parent counts the first span, then reads and reaps every child.  The lanes
+of the spans partition the matrices only because ``enumerate_matrices``
+yields the same sequence in every process: each process skips to its span
+in the same stream.  The parts are exact ints, so the result is identical
+for any worker count.  Each span must walk every row, the tallies must
+count every matrix once, and the merged tally's mass, the ordered pair
+count, must be even.  Where ``os.fork`` is missing, or another
 thread is alive, the scan runs in one process.
 """
 
@@ -42,7 +52,7 @@ import sys
 import time
 from collections import Counter
 from functools import cache, reduce
-from itertools import groupby, permutations, product
+from itertools import groupby, islice, permutations, product
 from operator import attrgetter, or_
 from typing import NamedTuple
 
@@ -74,15 +84,20 @@ def column_table(n: int, t: int, block_rows: tuple[int, ...]) -> dict[Perm, byte
             for p in permutations(range(1, n + 1))}
 
 
-def mask_words(n: int) -> memoryview:
-    """Every matrix's cells as an (n², count) uint8 memoryview, enumeration order.
+def mask_words(n: int, g0: int, g1: int) -> memoryview:
+    """The cells of groups [g0, g1)'s matrices as an (n², count) uint8 memoryview.
 
-    Byte j of row g is the cell that matrix j holds in global column g.  The
-    benchmark wraps this function by name, so the name stays until the
+    Those are matrices [g0·R, g1·R) of ``enumerate_matrices(n)``, R = (n!)^n,
+    the lanes of one census span; byte j of row g is the cell that the
+    span's matrix j holds in global column g.  The span is read off the one
+    stream every process enumerates, and the stream is not drawn past g1·R.
+    The benchmark wraps this function by name, so the name stays until the
     program emits its own spans (ROADMAP item 6).
     """
+    per_group = math.factorial(n) ** n
+    stream = islice(enumerate_matrices(n), g0 * per_group, g1 * per_group)
     chunks: list[list[bytes]] = [[] for _ in range(n)]  # per block column t
-    for rows, group in groupby(enumerate_matrices(n), attrgetter("row_perms")):
+    for rows, group in groupby(stream, attrgetter("row_perms")):
         for t, cols in enumerate(zip(*map(attrgetter("col_perms"), group))):
             table = column_table(n, t, tuple(row[t] for row in rows))
             chunks[t].append(b"".join(map(table.__getitem__, cols)))
@@ -92,7 +107,7 @@ def mask_words(n: int) -> memoryview:
 
 
 def cell_index(columns: memoryview) -> list[int]:
-    """Per-cell bitsets, bit j set iff matrix j covers the cell, from ``mask_words``.
+    """Per-cell bitsets, bit j set iff the span's matrix j covers the cell, from ``mask_words``.
 
     Cell c = r·n² + g can only sit in row g, so its bitset is row g, reversed
     to put matrix 0 last, with byte c read as "1" and every other byte as "0".
@@ -118,34 +133,42 @@ def _add(slices: list[int], k: int, bits: int) -> None:
 def _span(bitsets: list[int], g0: int, g1: int) -> tuple[int, Counter]:
     """Rows walked, and the partner counts' tally, for the matrices of groups [g0, g1).
 
-    Those matrices are lanes [g0·R, g1·R), R = (n!)^n, and every group is
-    walked.  One more lane, held by no cell, is missed by every option, so
-    its count is the number of rows walked.
+    ``bitsets`` are that span's own, from ``cell_index(mask_words(n, g0,
+    g1))``: bit j is the span's matrix j, lane j.  Every group of rows is
+    walked, block column by block column.  One more lane, held by no cell,
+    is missed by every option, so its count is the number of rows walked.
     """
     n = math.isqrt(math.isqrt(len(bitsets)))  # there are n⁴ cells
-    per_group = math.factorial(n) ** n
-    lanes = (g1 - g0) * per_group
+    lanes = (g1 - g0) * math.factorial(n) ** n
     mask = (1 << lanes) - 1
     full = mask | 1 << lanes  # the lanes and the row-counting lane
-    cells = [b >> g0 * per_group & mask for b in bitsets]
 
     @cache
     def misses(t: int, column: Perm) -> list[int]:
         # how many of block column t's options miss each lane, bit-sliced
         slices = [0] * math.factorial(n).bit_length()
         for option in column_table(n, t, column).values():
-            _add(slices, 0, full ^ reduce(or_, map(cells.__getitem__, option)))
+            _add(slices, 0, full ^ reduce(or_, map(bitsets.__getitem__, option)))
         return slices
 
-    acc = [0] * matrix_count(n).bit_length()  # no count exceeds the matrix count
-    for group in product(permutations(range(1, n + 1)), repeat=n):
-        # expand the product over the counters' slices, dropping empty terms
-        terms = [(0, full)]
-        for t, column in enumerate(zip(*group)):
-            terms = [(w + k, b) for w, a in terms
-                     for k, s in enumerate(misses(t, column)) if (b := a & s)]
-        for w, a in terms:
-            _add(acc, w, a)
+    width = matrix_count(n).bit_length()  # no weight exceeds the matrix count
+    values = frozenset(range(1, n + 1))
+    # the values each block row has used -> Σ of Π u_t over the partial
+    # groups that used them, bit-sliced
+    states = {(frozenset(),) * n: [full]}
+    for t in range(n):
+        grown: dict[tuple[frozenset[int], ...], list[int]] = {}
+        for used, weight in states.items():
+            for column in product(*(sorted(values - u) for u in used)):
+                slices = grown.setdefault(tuple(u | {v} for u, v in zip(used, column)),
+                                          [0] * width)
+                # expand weight × u_t over their slices, dropping empty terms
+                for i, a in enumerate(weight):
+                    for k, s in enumerate(misses(t, column)):
+                        if b := a & s:
+                            _add(slices, i + k, b)
+        states = grown
+    acc = states.get((values,) * n, [])  # absent only if no group reached it: no row
     rows = sum((s >> lanes & 1) << k for k, s in enumerate(acc))
     parts = [(0, mask)]  # (count so far, lanes with it), split by each slice
     for k in reversed(range(len(acc))):
@@ -159,12 +182,14 @@ def check_census_cap(n: int) -> None:
     check_cap(n, CENSUS_CAP, f"census at block order {n} means ~({n}!)^{4 * n}/2 pair tests")
 
 
-def _fork_span(bitsets: list[int], g0: int, g1: int) -> tuple[int, int]:
-    """Fork a child that runs ``_span`` on groups [g0, g1); return its pid and pipe's read end.
+def _fork_span(n: int, g0: int, g1: int) -> tuple[int, int]:
+    """Fork a child that counts groups [g0, g1); return its pid and pipe's read end.
 
-    The child writes its rows and its tally's ``count freq`` pairs as
-    decimal text and leaves by ``os._exit``, so it never returns into the
-    caller's stack and never flushes the stdio buffers it inherited.
+    The child builds the bitsets of the span's lanes itself, from its own
+    pass over the enumeration, and runs ``_span`` on them.  It writes its
+    rows and its tally's ``count freq`` pairs as decimal text and leaves by
+    ``os._exit``, so it never returns into the caller's stack and never
+    flushes the stdio buffers it inherited.
     """
     r, w = os.pipe()
     try:
@@ -176,7 +201,7 @@ def _fork_span(bitsets: list[int], g0: int, g1: int) -> tuple[int, int]:
     if pid == 0:
         try:
             os.close(r)
-            rows, tally = _span(bitsets, g0, g1)
+            rows, tally = _span(cell_index(mask_words(n, g0, g1)), g0, g1)
             with open(w, "wb") as pipe:
                 fields = [rows, *(x for item in tally.items() for x in item)]
                 pipe.write(" ".join(map(str, fields)).encode())
@@ -192,17 +217,18 @@ def _scan(n: int, workers: int | None) -> tuple[int, Counter, int]:
 
     ``_span`` counts the partners of the matrices in groups [g0, g1), in
     ``min(workers or CPUs, CPUs, groups)`` processes, one contiguous span
-    each; the pair count is the merged tally's mass.  Raises RuntimeError if
-    a child process fails, and ArithmeticError if a span did not walk every
-    row, the spans do not count every matrix once, or the mass is odd.
+    each; the pair count is the merged tally's mass.  The scan forks before
+    any bitset exists, and each process builds the bitsets of its own lanes
+    from the same enumeration, so the spans' lanes partition the matrices.
+    Raises RuntimeError if a child process fails, and ArithmeticError if a
+    span did not walk every row, the spans do not count every matrix once,
+    or the mass is odd.
     """
     check_census_cap(n)
     if workers is not None and (type(workers) is not int or workers < 1):
         raise ValueError(f"worker count must be an int >= 1, got {workers!r}")
-    columns = mask_words(n)
-    total = columns.shape[1]
+    total = matrix_count(n)
     groups = math.isqrt(total)  # (n!)^n row_perms groups of (n!)^n rows each
-    bitsets = cell_index(columns)
     # the answer does not depend on the process count, so never start more
     # processes than there are CPUs to run them or groups to hand out
     if hasattr(os, "sched_getaffinity"):
@@ -218,8 +244,8 @@ def _scan(n: int, workers: int | None) -> tuple[int, Counter, int]:
     children: list[tuple[int, int]] = []  # pid, read end of its pipe
     try:
         for g0, g1 in zip(cuts[1:], cuts[2:]):
-            children.append(_fork_span(bitsets, g0, g1))
-        parts = [_span(bitsets, 0, cuts[1])]
+            children.append(_fork_span(n, g0, g1))
+        parts = [_span(cell_index(mask_words(n, 0, cuts[1])), 0, cuts[1])]
         texts = [open(fd, "rb", closefd=False).read() for _pid, fd in children]
     except BaseException:
         import signal

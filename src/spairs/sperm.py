@@ -23,6 +23,7 @@ from the digits of j without any matrix object.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import permutations, product
 from typing import Iterator, NamedTuple, Sequence
 
@@ -129,8 +130,8 @@ def enumerate_matrices(n: int) -> Iterator[SPermMatrix]:
     """
     check_cap(n, ENUMERATION_CAP, f"enumerating block order {n} means ({n}!)^{2 * n} matrices")
     halves = list(product(_words(n), repeat=n))  # every n-tuple of permutations
-    for rows, cols in product(halves, repeat=2):
-        yield SPermMatrix(n, rows, cols)
+    # tuple.__new__ builds each matrix in C, past the NamedTuple's Python __new__
+    yield from map(partial(tuple.__new__, SPermMatrix), product((n,), halves, halves))
 
 
 def matrix_at(n: int, j: int) -> SPermMatrix:

@@ -74,6 +74,18 @@ class TestHistogram:
         assert mass == census3.ordered_pairs
 
 
+def _groups(n):
+    # the row_perms groups of the enumeration, (n!)^n of (n!)^n matrices each
+    return math.factorial(n) ** n
+
+
+def _lanes(bitsets, n, g0, g1):
+    # lanes [g0·R, g1·R) of whole-range bitsets, shifted down to bit 0: the
+    # bitsets the span of groups [g0, g1) builds for itself
+    per_group = _groups(n)
+    return [b >> g0 * per_group & (1 << (g1 - g0) * per_group) - 1 for b in bitsets]
+
+
 def _cells_by_column(m):
     # a matrix's cells in global-column order: its set bits sorted by
     # (column, row); a permutation matrix has one per column
@@ -89,17 +101,17 @@ class TestMaskWords:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_shape_and_itemsize(self, n):
-        columns = mask_words(n)
+        columns = mask_words(n, 0, _groups(n))
         assert columns.shape == (n * n, matrix_count(n))
         assert columns.itemsize == 1
 
     def test_bytes_follow_every_mask_n2(self):
-        rows = mask_words(2).tolist()
+        rows = mask_words(2, 0, 4).tolist()
         for j, m in enumerate(enumerate_matrices(2)):
             assert [row[j] for row in rows] == _cells_by_column(m)
 
     def test_bytes_follow_sampled_masks_n3(self):
-        columns = mask_words(3)
+        columns = mask_words(3, 0, 216)
         total = columns.shape[1]
         raw = columns.tobytes()
         picks = set(random.Random(11).sample(range(total), 64))
@@ -113,7 +125,7 @@ class TestMaskWords:
 
 @pytest.fixture(scope="module")
 def bitsets3():
-    return cell_index(mask_words(3))
+    return cell_index(mask_words(3, 0, 216))
 
 
 class TestCellIndex:
@@ -123,7 +135,7 @@ class TestCellIndex:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_bitsets_equal_the_digit_built_index(self, n):
-        assert cell_index(mask_words(n)) == cell_bitsets(n)
+        assert cell_index(mask_words(n, 0, _groups(n))) == cell_bitsets(n)
 
     def test_bitsets_equal_the_digit_built_index_n3(self, bitsets3):
         assert bitsets3 == cell_bitsets(3)
@@ -135,7 +147,7 @@ class TestCellIndex:
         # build meets each row_perms again in later runs
         assert len(list(groupby(mats, attrgetter("row_perms")))) > 4
         monkeypatch.setattr(census, "enumerate_matrices", lambda n: iter(mats))
-        bitsets = cell_index(mask_words(2))
+        bitsets = cell_index(mask_words(2, 0, 4))
         for j, m in enumerate(mats):
             bits = m.mask
             assert [b >> j & 1 for b in bitsets] == [bits >> c & 1 for c in range(16)]
@@ -146,15 +158,41 @@ class TestCellIndex:
         assert degree_histogram(2) == {7: 16}
 
 
+# every span at n = 2, and at n = 3 one from the middle of the range and all
+SPANS = {2: [(g0, g1) for g0 in range(5) for g1 in range(g0, 5)], 3: [(100, 103), (0, 216)]}
+
+
+@pytest.mark.parametrize("n, g0, g1", [(2, g0, g1) for g0, g1 in SPANS[2] if g0 < g1]
+                         + [(3, 100, 103)])
+def test_a_span_builds_only_its_own_lanes(n, g0, g1, bitsets3, monkeypatch):
+    # each census process builds the bitsets of its own span from its own
+    # pass over the enumeration, and draws no matrix past the span's end
+    whole = bitsets3 if n == 3 else cell_bitsets(n)
+    drawn = Counter()
+    real_enumerate = census.enumerate_matrices
+
+    def counting_enumerate(n):
+        for m in real_enumerate(n):
+            drawn[n] += 1
+            yield m
+
+    monkeypatch.setattr(census, "enumerate_matrices", counting_enumerate)
+    assert cell_index(mask_words(n, g0, g1)) == _lanes(whole, n, g0, g1)
+    assert drawn == {n: g1 * _groups(n)}
+
+
 def test_each_entry_point_builds_the_index_once(monkeypatch):
     # the benchmark wraps census.mask_words and replaces the census's own
-    # enumerate_matrices binding, so both must stay on every census path
+    # enumerate_matrices binding, so both must stay on every census path;
+    # each process builds its own span's bitsets, so with one CPU the
+    # parent's one call draws all 16 matrices, and with two only the 8 of
+    # its own span, the first two of 4 groups
     calls = Counter()
     real_words, real_enumerate = census.mask_words, census.enumerate_matrices
 
-    def counting_words(n):
+    def counting_words(n, g0, g1):
         calls["mask_words"] += 1
-        return real_words(n)
+        return real_words(n, g0, g1)
 
     def counting_enumerate(n):
         calls["enumerate_matrices"] += 1
@@ -164,12 +202,15 @@ def test_each_entry_point_builds_the_index_once(monkeypatch):
 
     monkeypatch.setattr(census, "mask_words", counting_words)
     monkeypatch.setattr(census, "enumerate_matrices", counting_enumerate)
-    expected = {"mask_words": 1, "enumerate_matrices": 1, "matrices": 16}
-    assert run_census(2).ordered_pairs == 112
-    assert calls == expected
-    calls.clear()
-    assert degree_histogram(2) == {7: 16}
-    assert calls == expected
+    for cpus, matrices in ((1, 16), (2, 8)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        expected = {"mask_words": 1, "enumerate_matrices": 1, "matrices": matrices}
+        for call, result in ((lambda: run_census(2).ordered_pairs, 112),
+                             (lambda: degree_histogram(2), {7: 16})):
+            calls.clear()
+            assert call() == result
+            assert calls == expected
 
 
 def _with_random_bitsets(bitsets, n, seed):
@@ -210,29 +251,26 @@ def _reference(bitsets, n, spans):
     return out
 
 
-# every span at n = 2, and at n = 3 one from the middle of the range and all
-SPANS = {2: [(g0, g1) for g0 in range(5) for g1 in range(g0, 5)], 3: [(100, 103), (0, 216)]}
-
-
 @cache
 def _case(n, seed):
-    # the census's bitsets, or random ones, and their reference per span
-    bitsets = cell_index(mask_words(n))
+    # the census's bitsets over every lane, or random ones, and their
+    # reference per span
+    bitsets = cell_index(mask_words(n, 0, _groups(n)))
     if seed is not None:
         bitsets = _with_random_bitsets(bitsets, n, seed)
     elif n == 3:
         # every matrix at n = 3 has 17 972 partners (TestHistogram), so the
         # census's own bitsets need no second pass over every row
-        per_group = math.factorial(n) ** n
-        return bitsets, {(g0, g1): Counter({17972: (g1 - g0) * per_group})
+        return bitsets, {(g0, g1): Counter({17972: (g1 - g0) * _groups(n)})
                          for g0, g1 in SPANS[n]}
     return bitsets, _reference(bitsets, n, SPANS[n])
 
 
 def _assert_tallies(bitsets, n, reference):
-    # every row walked, and the lanes' counts as the reference counts them
+    # every row walked, and the lanes' counts as the reference counts them,
+    # from the span's own lanes of the bitsets
     for (g0, g1), tally in reference.items():
-        assert census._span(bitsets, g0, g1) == (matrix_count(n), tally)
+        assert census._span(_lanes(bitsets, n, g0, g1), g0, g1) == (matrix_count(n), tally)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -240,10 +278,11 @@ def test_spans_partition_the_lanes(n):
     # span [g0, g1) counts lanes [g0·R, g1·R) against every row, so the two
     # spans of any cut of the groups add up to the whole range
     bitsets = _with_random_bitsets(cell_bitsets(n), n, 5)
-    groups = math.factorial(n) ** n
+    groups = _groups(n)
     whole = census._span(bitsets, 0, groups)
     for k in sorted({0, 1, groups // 3, groups}):
-        parts = [census._span(bitsets, 0, k), census._span(bitsets, k, groups)]
+        parts = [census._span(_lanes(bitsets, n, g0, g1), g0, g1)
+                 for g0, g1 in ((0, k), (k, groups))]
         assert [rows for rows, _ in parts] == [matrix_count(n)] * 2
         assert parts[0][1] + parts[1][1] == whole[1]
 
@@ -265,7 +304,7 @@ class TestPartnerKernel:
     def test_n1_has_no_cells_past_the_run_prefix(self, bitset):
         # n = 1: one cell, one group, one row and one lane, which the row
         # misses only if the cell's bitset does not hold it
-        bitsets = cell_index(mask_words(1)) if bitset is None else [bitset]
+        bitsets = cell_index(mask_words(1, 0, 1)) if bitset is None else [bitset]
         reference = _reference(bitsets, 1, [(0, 1)])
         assert reference[0, 1] == ({0: 1} if bitset is None else {1: 1})
         _assert_tallies(bitsets, 1, reference)
@@ -410,7 +449,10 @@ class TestFork:
         product, table = census.product, census.column_table
 
         def drops_a_group(*args, **kwargs):
-            return islice(product(*args, **kwargs), 1, None)  # 4 of the 16 rows
+            # the first column that fits each state: at n = 2 the first step
+            # keeps 3 of 4 columns, and each state after it has one column
+            # that fits, so no group reaches the full state and no row counts
+            return islice(product(*args, **kwargs), 1, None)
 
         def drops_an_option(n, t, column):
             options = list(table(n, t, column).items())
@@ -426,7 +468,7 @@ class TestFork:
                 return lossy_span
             return wrap
 
-        for name, lossy, rows in (("product", drops_a_group, 12),
+        for name, lossy, rows in (("product", drops_a_group, 0),
                                   ("column_table", drops_an_option, 8)):
             for call in _each_entry_point(losing(name, lossy)):
                 with pytest.raises(ArithmeticError, match=f"walked {rows} rows, not 16"):

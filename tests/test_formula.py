@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -270,13 +271,11 @@ def test_monte_carlo_arbitrates_n4(catalog4):
     # pairs separates the two conventions by dozens of standard errors
     n, n2 = 4, 16
     rng = random.Random(20260816)
+    words = list(permutations(range(1, n + 1)))
 
     def draw_mask():
-        perms = []
-        for _ in range(2 * n):
-            word = list(range(1, n + 1))
-            rng.shuffle(word)
-            perms.append(word)
+        # one uniform choice among the 24 permutations per block row and column
+        perms = [rng.choice(words) for _ in range(2 * n)]
         bits = 0
         for s in range(n):
             for t in range(n):

@@ -200,6 +200,10 @@ class TestCellIndex:
         assert [matrix_at(2, j) for j in range(16)] == matrices2
         for j, m in sampled3:
             assert matrix_at(3, j) == m
+        # the enumeration builds its matrices in C, past SPermMatrix.__new__,
+        # so each must still be an SPermMatrix, not a bare tuple
+        for m in matrices2 + [m for _j, m in sampled3]:
+            assert type(m) is SPermMatrix
 
     def test_matrix_at_range(self):
         with pytest.raises(IndexError, match="outside 0..15"):
