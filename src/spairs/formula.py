@@ -125,6 +125,9 @@ def count_ordered(n: int, table: dict[int, Fraction]) -> int:
     check_order(n)
     if sorted(table) != list(range(1, n * n + 1)):
         raise ValueError(f"weight table buckets are not 1..{n * n}")
+    for k, w in table.items():
+        if not isinstance(w, Fraction) and type(w) is not int:  # no bool, no float
+            raise ValueError(f"weight table bucket {k} is not a Fraction or int: {w!r}")
     fact = math.factorial(n)
     tail = sum(((-1) ** k * w for k, w in table.items()), Fraction(0))
     total = fact ** (4 * n) + fact ** (2 * (n + 1)) * tail

@@ -260,6 +260,8 @@ def count_cliques(n: int) -> int:
 def clique_count_from_grid_count(grid_count: int, n: int) -> int:
     """Complete-family count from the grid count: divide by (n²)! exactly."""
     check_order(n)
+    if type(grid_count) is not int:  # 288.0 and True would divide too
+        raise ValueError(f"grid count must be an int, got {grid_count!r}")
     if grid_count < 0:
         raise ValueError(f"grid count must be >= 0, got {grid_count}")
     q, r = divmod(grid_count, math.factorial(n * n))

@@ -1,6 +1,7 @@
 """The public surface that callers and the benchmark reach by name."""
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -15,15 +16,47 @@ import spairs
 REPO = Path(__file__).resolve().parents[1]
 
 
+MODULES = ("bigraphs", "census", "formula", "sperm", "sudoku")
+
+
 def test_export_list_is_exact():
     names = spairs.__all__
     assert len(names) == len(set(names))
+    listed = dir(spairs)
     for name in names:
-        assert hasattr(spairs, name), name
+        home = importlib.import_module(f"spairs.{spairs._HOME[name]}")
+        obj = getattr(spairs, name)
+        assert obj is getattr(home, name), name
+        # a class or function must come from where the table says it does
+        assert getattr(obj, "__module__", home.__name__) == home.__name__, name
+        assert name in listed, name
+    for module in MODULES:
+        assert getattr(spairs, module) is importlib.import_module(f"spairs.{module}")
+    # traced_op's install() relies on a name the package does not export
+    # reading as absent, not as the census's own binding
+    assert not hasattr(spairs, "mask_words")
     star: dict = {}
     exec("from spairs import *", star)
     star.pop("__builtins__")
     assert star.keys() == set(names)
+
+
+def test_import_loads_a_module_on_first_use():
+    code = (
+        "import sys, spairs\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('spairs.'))\n"
+        "print(loaded())\n"
+        "spairs.degree_histogram\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['spairs.census', 'spairs.sperm']"]
 
 
 def _count_pairs(stdout):

@@ -242,6 +242,11 @@ class TestCounts:
             count_ordered(0, {})
         with pytest.raises(ValueError, match="unknown convention"):
             count_ordered(2, weight_table(catalog2, "orbit"))
+        # a float has no denominator, and True would count as weight 1
+        with pytest.raises(ValueError, match="bucket 1 is not a Fraction or int"):
+            count_ordered(2, {1: 1.0, 2: 0.5, 3: 0, 4: 0})
+        with pytest.raises(ValueError, match="bucket 1 is not a Fraction or int"):
+            count_ordered(2, {1: True, 2: 1, 3: 1, 4: 1})
 
 
 @pytest.mark.xfail(

@@ -241,6 +241,12 @@ class TestKnownCounts:
         with pytest.raises(ValueError, match="grid count must be >= 0, got -288"):
             clique_count_from_grid_count(-288, 2)
 
+    @pytest.mark.parametrize("count, n", [(288.0, 2), (True, 1)], ids=["float", "bool"])
+    def test_non_int_count_rejected(self, count, n):
+        # both divide exactly, to 12.0 and 1, but neither is a count of grids
+        with pytest.raises(ValueError, match="grid count must be an int"):
+            clique_count_from_grid_count(count, n)
+
 
 class TestSampler:
     def test_deterministic_for_a_seed(self):
