@@ -228,19 +228,24 @@ def _table(payload: dict, indent: str = "") -> str:
 # ---------------------------------------------------------------------------
 
 
+def _leaf(parent, name, run, help, n_help="block order", formats=("json", "table")):
+    """Add a leaf parser with its handler, --format and, unless n_help is None, --n."""
+    leaf = parent.add_parser(name, help=help)
+    leaf.set_defaults(run=run)
+    if n_help is not None:
+        leaf.add_argument("--n", type=int, default=2, help=n_help)
+    leaf.add_argument("--format", choices=formats, default="json")
+    return leaf
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="spairs", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    graphs = sub.add_parser("graphs", help="catalog of bipartite graph classes")
-    graphs.set_defaults(run=_cmd_graphs)
-    graphs.add_argument(
-        "--n", type=int, default=2, help=f"side size (cap {CATALOG_CAP})"
-    )
+    _leaf(sub, "graphs", _cmd_graphs, "catalog of bipartite graph classes",
+          f"side size (cap {CATALOG_CAP})", ("json", "table", "dot"))
 
-    count = sub.add_parser("count", help="disjoint-pair counts, formula and/or census")
-    count.set_defaults(run=_cmd_count)
-    count.add_argument("--n", type=int, default=2, help="block order")
+    count = _leaf(sub, "count", _cmd_count, "disjoint-pair counts, formula and/or census")
     count.add_argument(
         "--mode",
         choices=["formula", "census", "both"],
@@ -255,41 +260,21 @@ def build_parser() -> _Parser:
         "twin-classes (shortcut tables; census refutes its totals)",
     )
 
-    census = sub.add_parser("census", help="brute-force pair census with timing")
-    census.set_defaults(run=_cmd_census)
-    census.add_argument(
-        "--n", type=int, default=2, help=f"block order (cap {CENSUS_CAP})"
-    )
+    _leaf(sub, "census", _cmd_census, "brute-force pair census with timing",
+          f"block order (cap {CENSUS_CAP})")
 
     # only the action parsers carry defaults: a group parser's defaults and
     # its subparsers' defaults override each other differently across Pythons
     action = sub.add_parser("sudoku", help="Sudoku-matrix layer").add_subparsers(
         dest="action", required=True
     )
-
-    a = action.add_parser("count", help=f"exhaustive grid count (n <= {GRID_CAP})")
-    a.set_defaults(run=_cmd_grids)
-    a.add_argument("--n", type=int, default=2)
-
-    a = action.add_parser(
-        "cliques", help=f"complete disjoint families (n <= {GRID_CAP})"
-    )
-    a.set_defaults(run=_cmd_cliques)
-    a.add_argument("--n", type=int, default=2)
-
-    a = action.add_parser("decompose", help="split a grid file into layers")
-    a.set_defaults(run=_cmd_decompose)
-    a.add_argument("grid_file")
-
-    a = action.add_parser("sample", help="randomized disjoint-family growth")
-    a.set_defaults(run=_cmd_sample)
-    a.add_argument("--n", type=int, default=2)
-    a.add_argument("--seed", type=int, default=0)
-
-    # graphs alone adds a third layout, dot
-    for leaf in (graphs, count, census, *action.choices.values()):
-        formats = ["json", "table", "dot"] if leaf is graphs else ["json", "table"]
-        leaf.add_argument("--format", choices=formats, default="json")
+    _leaf(action, "count", _cmd_grids, f"exhaustive grid count (n <= {GRID_CAP})")
+    _leaf(action, "cliques", _cmd_cliques, f"complete disjoint families (n <= {GRID_CAP})")
+    decompose = _leaf(action, "decompose", _cmd_decompose, "split a grid file into layers",
+                      n_help=None)
+    decompose.add_argument("grid_file")
+    sample = _leaf(action, "sample", _cmd_sample, "randomized disjoint-family growth")
+    sample.add_argument("--seed", type=int, default=0)
     return parser
 
 

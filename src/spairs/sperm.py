@@ -205,10 +205,16 @@ def mask_is_valid(n: int, bits: int) -> bool:
     """Cell-level check: exactly one 1 per row, per column, and per block.
 
     Reads only the bits, never the permutation parameterization, so it
-    serves as an independent validity oracle for generated matrices.
+    serves as an independent validity oracle for generated matrices.  A
+    negative mask, or one with a bit at or past n⁴, is invalid; a mask that
+    is not an int (a bool included) raises ValueError.
     """
     check_order(n)
+    if type(bits) is not int:  # bool is an int subclass, and True == 1
+        raise ValueError(f"mask must be an int, got {bits!r}")
     n2 = n * n
+    if bits < 0 or bits >> (n2 * n2):  # a cell outside the grid
+        return False
     rows = [0] * n2
     cols = [0] * n2
     blocks = [0] * n2

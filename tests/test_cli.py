@@ -478,6 +478,34 @@ class TestParsing:
     def test_help_exits_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    @pytest.mark.parametrize(
+        "leaf, flags",
+        [
+            (["graphs"], ["--n N", "--format {json,table,dot}"]),
+            (
+                ["count"],
+                [
+                    "--n N",
+                    "--format {json,table}",
+                    "--mode {formula,census,both}",
+                    "--convention {automorphism,twin-classes}",
+                ],
+            ),
+            (["census"], ["--n N", "--format {json,table}"]),
+            (["sudoku", "count"], ["--n N", "--format {json,table}"]),
+            (["sudoku", "cliques"], ["--n N", "--format {json,table}"]),
+            (["sudoku", "decompose"], ["grid_file", "--format {json,table}"]),
+            (["sudoku", "sample"], ["--n N", "--format {json,table}", "--seed SEED"]),
+        ],
+        ids=["graphs", "count", "census", "sudoku-count", "cliques", "decompose", "sample"],
+    )
+    def test_leaf_help_lists_its_flags(self, capsys, leaf, flags):
+        code, out, _err = run(capsys, *leaf, "--help")
+        assert code == 0
+        # each argument's first help line, past the usage lines and headings
+        listed = re.findall(r"^  (-h, --help|\S+(?: \S+)?)(?:  |$)", out, re.M)
+        assert sorted(listed) == sorted(["-h, --help", *flags])
+
 
 def test_module_entry_point():
     proc = subprocess.run(

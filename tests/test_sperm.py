@@ -273,6 +273,21 @@ class TestMaskOracle:
     def test_rejects_wrong_popcount(self):
         assert not mask_is_valid(2, 0)
 
+    @pytest.mark.parametrize(
+        "bits",
+        [IDENTITY_2.mask | 1 << 16, 1 << 20, -1, -IDENTITY_2.mask],
+        ids=["valid-plus-bit-16", "bit-20", "minus-1", "negated-valid"],
+    )
+    def test_rejects_cells_outside_the_grid(self, bits):
+        assert mask_is_valid(2, bits) is False
+
+    @pytest.mark.parametrize(
+        "bits", [True, 1.0, str(IDENTITY_2.mask)], ids=["bool", "float", "str"]
+    )
+    def test_non_int_mask_rejected(self, bits):
+        with pytest.raises(ValueError, match="mask must be an int"):
+            mask_is_valid(2, bits)
+
 
 @given(perms_strategy(3))
 def test_random_params_yield_valid_masks(params):
