@@ -322,8 +322,11 @@ def sample_family(n: int, seed: int) -> DisjointFamily:
     Reproducibility contract: the generator is MT19937 as exposed by
     ``random.Random(seed)``, and each step takes the candidate whose rank in
     enumeration order is ``Random.randrange`` of the candidate count.  Same
-    arguments, same family, on any platform.
+    arguments, same family, on any platform.  A seed that is not an int, a
+    bool included, raises ValueError.
     """
+    if type(seed) is not int:  # Random(True) would draw seed 1's family
+        raise ValueError(f"seed must be an int, got {seed!r}")
     rng = random.Random(seed)
     cells = cell_bitsets(n)
     everything = (1 << matrix_count(n)) - 1

@@ -86,6 +86,12 @@ class TestBigraph:
     def test_format_code_width(self, n, code, expected):
         assert format_code(n, code) == expected
 
+    @pytest.mark.parametrize("code", [-1, 16, True])
+    def test_format_code_range_check(self, code):
+        # the fixed width holds only for codes a Bigraph of that size accepts
+        with pytest.raises(ValueError, match=r"code must be an int in 0\.\.2\^4-1"):
+            format_code(2, code)
+
 
 class TestProfile:
     def test_single_edge(self):
@@ -108,6 +114,25 @@ class TestProfile:
         p = profile(Bigraph(3, 0))
         assert p.degree_counts == (6, 0, 0, 0)
         assert p.twin_class_sizes == (3, 3)
+
+    def test_matches_edge_reading(self, catalog4):
+        # profile reads the row masks; this reading walks the edge list:
+        # degrees by counting endpoints, twins by comparing neighbor sets
+        def by_edges(g):
+            n, edges = g.n, g.edges()
+            endpoints = [("r", r) for r, _c in edges] + [("c", c) for _r, c in edges]
+            degrees = [endpoints.count((side, v)) for side in "rc" for v in range(n)]
+            sides = [
+                [frozenset(c for r, c in edges if r == v) for v in range(n)],
+                [frozenset(r for r, c in edges if c == v) for v in range(n)],
+            ]
+            sizes = [nbrs.count(nb) for nbrs in sides for nb in set(nbrs)]
+            return (tuple(degrees.count(d) for d in range(n + 1)), tuple(sorted(sizes)))
+
+        graphs = [Bigraph(n, code) for n in (1, 2, 3) for code in range(1 << n * n)]
+        graphs += [Bigraph(4, e.code) for _k, e in catalog4.entries()]
+        for g in graphs:
+            assert profile(g) == by_edges(g), format_code(g.n, g.code)
 
     def test_degree_sum_counts_each_edge_twice(self, catalog3):
         for k, e in catalog3.entries():

@@ -271,6 +271,11 @@ class TestSampler:
         with pytest.raises(SizeLimitError, match="capped at n <= 3"):
             sample_family(4, seed=0)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, "x"])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            sample_family(2, seed=seed)
+
     def test_draw_law_at_n2(self, monkeypatch):
         # Walk every path of the draw tree by scripting randrange, and give
         # each leaf family the product of 1/k over its draws: each member is
