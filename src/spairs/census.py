@@ -11,9 +11,11 @@ per-matrix work.  ``cell_index`` reads one Python int per cell off its
 column's row, with bit j set iff the span's matrix j covers the cell.
 
 The scan walks the rows, matrices i, by their block permutations, in (n!)^n
-groups that share ``row_perms``; lane j, bit j of every bitset, is the
-span's matrix j.  Row i misses lane j iff bit j is clear in the OR of the n
-cell bitsets of each of i's block columns.  In a group, block column t has
+groups that share ``row_perms``.  Lane j, bit j of every bitset, is any
+matrix whose cells the bitsets hold: the kernel ``_span`` takes the bitsets
+and a lane count, not a span, and the census hands it the span's matrix j.
+Row i misses lane j iff bit j is clear in the OR of the n cell bitsets of
+each of i's block columns.  In a group, block column t has
 n! such ORs, its options, which depend only on t and column t of
 ``row_perms``, so lane j's partner count is Σ over groups of Π over t of
 u_t(j), the number of column t's options that miss j.  Each u_t is one
@@ -130,16 +132,17 @@ def _add(slices: list[int], k: int, bits: int) -> None:
         k += 1
 
 
-def _span(bitsets: list[int], g0: int, g1: int) -> tuple[int, Counter]:
-    """Rows walked, and the partner counts' tally, for the matrices of groups [g0, g1).
+def _span(bitsets: list[int], lanes: int) -> tuple[int, Counter]:
+    """Rows walked, and the tally of the partner counts of lanes [0, lanes).
 
-    ``bitsets`` are that span's own, from ``cell_index(mask_words(n, g0,
-    g1))``: bit j is the span's matrix j, lane j.  Every group of rows is
-    walked, block column by block column.  One more lane, held by no cell,
-    is missed by every option, so its count is the number of rows walked.
+    Lane j is any matrix whose cells the bitsets hold: bit j of the bitset
+    of cell c is set iff that matrix covers c, as bit c of its ``mask``
+    does.  The census passes each span's own matrices, through ``_count``.
+    Every group of rows is walked, block column by block column.  One more
+    lane, held by no cell, is missed by every option, so its count is the
+    number of rows walked.
     """
     n = math.isqrt(math.isqrt(len(bitsets)))  # there are n⁴ cells
-    lanes = (g1 - g0) * math.factorial(n) ** n
     mask = (1 << lanes) - 1
     full = mask | 1 << lanes  # the lanes and the row-counting lane
 
@@ -162,8 +165,11 @@ def _span(bitsets: list[int], g0: int, g1: int) -> tuple[int, Counter]:
             for column in product(*(sorted(values - u) for u in used)):
                 slices = grown.setdefault(tuple(u | {v} for u, v in zip(used, column)),
                                           [0] * width)
-                # expand weight × u_t over their slices, dropping empty terms
+                # expand weight × u_t over their slices, dropping empty terms;
+                # a weight's high slices stay empty until the last steps
                 for i, a in enumerate(weight):
+                    if not a:
+                        continue
                     for k, s in enumerate(misses(t, column)):
                         if b := a & s:
                             _add(slices, i + k, b)
@@ -182,26 +188,35 @@ def check_census_cap(n: int) -> None:
     check_cap(n, CENSUS_CAP, f"census at block order {n} means ~({n}!)^{4 * n}/2 pair tests")
 
 
+def _count(n: int, g0: int, g1: int) -> tuple[int, Counter]:
+    """``_span`` over the matrices of groups [g0, g1), from their own bitsets."""
+    return _span(cell_index(mask_words(n, g0, g1)), (g1 - g0) * math.factorial(n) ** n)
+
+
 def _fork_span(n: int, g0: int, g1: int) -> tuple[int, int]:
     """Fork a child that counts groups [g0, g1); return its pid and pipe's read end.
 
-    The child builds the bitsets of the span's lanes itself, from its own
-    pass over the enumeration, and runs ``_span`` on them.  It writes its
-    rows and its tally's ``count freq`` pairs as decimal text and leaves by
-    ``os._exit``, so it never returns into the caller's stack and never
-    flushes the stdio buffers it inherited.
+    The child counts them through ``_count``, which builds the bitsets of
+    the span's lanes from the child's own pass over the enumeration.  It
+    writes its rows and its tally's ``count freq`` pairs as decimal text and
+    leaves by ``os._exit``, so it never returns into the caller's stack and
+    never flushes the stdio buffers it inherited.  Raises RuntimeError, and
+    starts no child, if ``os.pipe`` or ``os.fork`` fails.
     """
-    r, w = os.pipe()
+    try:
+        r, w = os.pipe()
+    except OSError as exc:
+        raise RuntimeError(f"census os.pipe failed: {exc}") from exc
     try:
         pid = os.fork()
-    except OSError:
+    except OSError as exc:
         os.close(r)
         os.close(w)
-        raise
+        raise RuntimeError(f"census os.fork failed: {exc}") from exc
     if pid == 0:
         try:
             os.close(r)
-            rows, tally = _span(cell_index(mask_words(n, g0, g1)), g0, g1)
+            rows, tally = _count(n, g0, g1)
             with open(w, "wb") as pipe:
                 fields = [rows, *(x for item in tally.items() for x in item)]
                 pipe.write(" ".join(map(str, fields)).encode())
@@ -215,14 +230,14 @@ def _fork_span(n: int, g0: int, g1: int) -> tuple[int, int]:
 def _scan(n: int, workers: int | None) -> tuple[int, Counter, int]:
     """The ordered pair count, the merged tally and the matrix count.
 
-    ``_span`` counts the partners of the matrices in groups [g0, g1), in
+    ``_count`` counts the partners of the matrices in groups [g0, g1), in
     ``min(workers or CPUs, CPUs, groups)`` processes, one contiguous span
     each; the pair count is the merged tally's mass.  The scan forks before
     any bitset exists, and each process builds the bitsets of its own lanes
     from the same enumeration, so the spans' lanes partition the matrices.
-    Raises RuntimeError if a child process fails, and ArithmeticError if a
-    span did not walk every row, the spans do not count every matrix once,
-    or the mass is odd.
+    Raises RuntimeError if a child process cannot be started or fails, and
+    ArithmeticError if a span did not walk every row, the spans do not count
+    every matrix once, or the mass is odd.
     """
     check_census_cap(n)
     if workers is not None and (type(workers) is not int or workers < 1):
@@ -245,7 +260,7 @@ def _scan(n: int, workers: int | None) -> tuple[int, Counter, int]:
     try:
         for g0, g1 in zip(cuts[1:], cuts[2:]):
             children.append(_fork_span(n, g0, g1))
-        parts = [_span(cell_index(mask_words(n, 0, cuts[1])), 0, cuts[1])]
+        parts = [_count(n, 0, cuts[1])]
         texts = [open(fd, "rb", closefd=False).read() for _pid, fd in children]
     except BaseException:
         import signal

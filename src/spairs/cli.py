@@ -13,8 +13,9 @@ Exit codes are frozen for CI use:
 
     0   success
     2   scale cap exceeded
-    3   cross-validation mismatch (formula vs census) or internal
+    3   cross-validation mismatch (formula vs census), internal
         consistency failure (an odd pair sum, an uncleared denominator)
+        or a failed census process (one that could not start or that died)
     4   invalid input (bad flags, malformed or invalid grid file)
 
 Everything that is not the requested output is written to stderr.
@@ -310,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
+        return 3
+    except RuntimeError as exc:  # a census process that could not start or died
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

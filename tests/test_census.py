@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import random
@@ -6,20 +7,23 @@ import threading
 import time
 from collections import Counter
 from functools import cache
-from itertools import groupby, islice
+from itertools import cycle, groupby, islice
 from operator import attrgetter
 
 import pytest
 
 from spairs import (
     SizeLimitError,
+    build_matrix,
     cell_bitsets,
     census,
     cli,
+    count_ordered,
     degree_histogram,
     enumerate_matrices,
     matrix_count,
     run_census,
+    weight_table,
 )
 from spairs.census import cell_index, mask_words
 
@@ -270,7 +274,8 @@ def _assert_tallies(bitsets, n, reference):
     # every row walked, and the lanes' counts as the reference counts them,
     # from the span's own lanes of the bitsets
     for (g0, g1), tally in reference.items():
-        assert census._span(_lanes(bitsets, n, g0, g1), g0, g1) == (matrix_count(n), tally)
+        lanes = (g1 - g0) * _groups(n)
+        assert census._span(_lanes(bitsets, n, g0, g1), lanes) == (matrix_count(n), tally)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -279,9 +284,9 @@ def test_spans_partition_the_lanes(n):
     # spans of any cut of the groups add up to the whole range
     bitsets = _with_random_bitsets(cell_bitsets(n), n, 5)
     groups = _groups(n)
-    whole = census._span(bitsets, 0, groups)
+    whole = census._span(bitsets, groups * groups)
     for k in sorted({0, 1, groups // 3, groups}):
-        parts = [census._span(_lanes(bitsets, n, g0, g1), g0, g1)
+        parts = [census._span(_lanes(bitsets, n, g0, g1), (g1 - g0) * groups)
                  for g0, g1 in ((0, k), (k, groups))]
         assert [rows for rows, _ in parts] == [matrix_count(n)] * 2
         assert parts[0][1] + parts[1][1] == whole[1]
@@ -310,12 +315,49 @@ class TestPartnerKernel:
         _assert_tallies(bitsets, 1, reference)
 
 
-def _each_entry_point(wrap):
-    # each census entry point at n = 2, while ``_span``, which both call,
-    # is replaced by wrap(_span)
+def _chosen(n, count):
+    # the cell bitsets of ``count`` matrices drawn by block permutations
+    # from random.Random(1): bit j of cell c's bitset is bit c of matrix j's
+    # mask, with no enumeration behind the lanes
+    rng = random.Random(1)
+
+    def perms():
+        return [rng.sample(range(1, n + 1), n) for _ in range(n)]
+
+    mats = [build_matrix(n, perms(), perms()) for _ in range(count)]
+    return [sum((m.mask >> c & 1) << j for j, m in enumerate(mats)) for c in range(n ** 4)]
+
+
+class TestChosenLanes:
+    # the kernel counts any matrices whose cells the bitsets hold against
+    # every row of the enumeration, not only the lanes of a span
+
+    @pytest.mark.parametrize("n, count", [(2, 4), (3, 8)])
+    def test_every_lane_has_the_census_partner_count(self, n, count, histogram3):
+        [partners] = (histogram3 if n == 3 else degree_histogram(n)).keys()
+        assert census._span(_chosen(n, count), count) == (matrix_count(n), {partners: count})
+
+    def test_one_lane_at_n4_gives_the_formula_total(self, catalog4):
+        # past the census cap the kernel still counts one lane exactly, in
+        # 0.5-0.8 s on 2 vCPUs of the 15 s tier-1 budget; the total N·b_0
+        # rests on transitivity, (S_n)^(2n) acting simply transitively and
+        # preserving disjointness (ROADMAP item 16), which the all-lanes
+        # census checks at n = 2 and 3
+        rows, tally = census._span(_chosen(4, 1), 1)
+        assert rows == matrix_count(4) == 110_075_314_176
+        assert tally == {41_685_061_617: 1}
+        [partners] = tally
+        assert rows * partners == count_ordered(4, weight_table(catalog4))
+
+
+def _each_entry_point(wrap, name="_count"):
+    # each census entry point at n = 2, while census.<name>, which every
+    # census process calls, is replaced by wrap(<name>): ``_count(n, g0,
+    # g1)`` by default, whose g0 is 0 only in the parent's span, or the
+    # kernel ``_span(bitsets, lanes)`` that it calls
     for call in (lambda: run_census(2), lambda: degree_histogram(2)):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(census, "_span", wrap(census._span))
+            patch.setattr(census, name, wrap(getattr(census, name)))
             yield call
 
 
@@ -373,10 +415,10 @@ class TestFork:
 
     def test_failing_child_raises(self, forks, cpus):
         def wrap(real):
-            def fails_in_child(index, i0, i1):
-                if i0:
+            def fails_in_child(n, g0, g1):
+                if g0:
                     raise MemoryError("child")
-                return real(index, i0, i1)
+                return real(n, g0, g1)
             return fails_in_child
 
         cpus(2)
@@ -388,10 +430,10 @@ class TestFork:
 
     def test_killed_child_raises(self, forks, cpus):
         def wrap(real):
-            def killed_in_child(index, i0, i1):
-                if i0:
+            def killed_in_child(n, g0, g1):
+                if g0:
                     os.kill(os.getpid(), signal.SIGKILL)
-                return real(index, i0, i1)
+                return real(n, g0, g1)
             return killed_in_child
 
         cpus(2)
@@ -404,9 +446,9 @@ class TestFork:
     @pytest.mark.parametrize("sent", [{"7x": 8}, {7: "8 9"}])
     def test_unparseable_child_output_raises(self, forks, cpus, sent):
         def wrap(real):
-            def garbled_in_child(index, i0, i1):
-                rows, tally = real(index, i0, i1)
-                return (rows, Counter(sent)) if i0 else (rows, tally)
+            def garbled_in_child(n, g0, g1):
+                rows, tally = real(n, g0, g1)
+                return (rows, Counter(sent)) if g0 else (rows, tally)
             return garbled_in_child
 
         cpus(2)
@@ -415,13 +457,33 @@ class TestFork:
                 call()
         _assert_no_children()
 
+    @pytest.mark.parametrize("name", ["pipe", "fork"])
+    def test_failed_start_raises_and_reaps(self, forks, cpus, monkeypatch, name):
+        # per entry point the first child starts and the second os.<name>
+        # fails: the census raises RuntimeError naming it, and kills and
+        # reaps the child it did start
+        real, succeeds = getattr(os, name), cycle([True, False])
+
+        def once(*args):
+            if next(succeeds):
+                return real(*args)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, name, once)
+        cpus(4)
+        for call in (lambda: run_census(2), lambda: degree_histogram(2)):
+            with pytest.raises(RuntimeError, match=f"os.{name} failed"):
+                call()
+            _assert_no_children()
+        assert len(forks) == 2
+
     def test_failing_parent_kills_and_reaps_its_children(self, forks, cpus):
         def wrap(real):
-            def parent_fails_child_stalls(index, i0, i1):
-                if not i0:
+            def parent_fails_child_stalls(n, g0, g1):
+                if not g0:
                     raise MemoryError("parent")
                 time.sleep(30)
-                return real(index, i0, i1)
+                return real(n, g0, g1)
             return parent_fails_child_stalls
 
         cpus(4)
@@ -435,9 +497,9 @@ class TestFork:
 
     def test_a_lost_row_is_an_internal_error(self, forks, cpus):
         def wrap(real):
-            def drops_a_row(index, i0, i1):
-                rows, tally = real(index, i0, i1)
-                return (rows if i0 else rows - 1), tally
+            def drops_a_row(n, g0, g1):
+                rows, tally = real(n, g0, g1)
+                return (rows if g0 else rows - 1), tally
             return drops_a_row
 
         cpus(2)
@@ -461,16 +523,18 @@ class TestFork:
         def losing(name, lossy):
             # the kernel, run with census.<name> replaced by lossy
             def wrap(real):
-                def lossy_span(index, i0, i1):
+                def lossy_span(bitsets, lanes):
                     with pytest.MonkeyPatch.context() as patch:
                         patch.setattr(census, name, lossy)
-                        return real(index, i0, i1)
+                        return real(bitsets, lanes)
                 return lossy_span
             return wrap
 
+        # column_table is wrapped around the kernel alone, since mask_words
+        # reads it too
         for name, lossy, rows in (("product", drops_a_group, 0),
                                   ("column_table", drops_an_option, 8)):
-            for call in _each_entry_point(losing(name, lossy)):
+            for call in _each_entry_point(losing(name, lossy), "_span"):
                 with pytest.raises(ArithmeticError, match=f"walked {rows} rows, not 16"):
                     call()
         assert len(forks) == 6
@@ -478,9 +542,9 @@ class TestFork:
 
     def test_a_lost_lane_is_an_internal_error(self, forks, cpus):
         def wrap(real):
-            def drops_a_lane(index, i0, i1):
-                rows, tally = real(index, i0, i1)
-                if i0:
+            def drops_a_lane(n, g0, g1):
+                rows, tally = real(n, g0, g1)
+                if g0:
                     tally[min(tally)] -= 1
                 return rows, tally
             return drops_a_lane
@@ -521,11 +585,11 @@ class TestFork:
 
 def test_odd_partner_sum_is_an_internal_error(monkeypatch, capsys):
     def wrap(real):
-        def one_too_many(index, i0, i1):
+        def one_too_many(n, g0, g1):
             # once, in the span that holds lane 0, whichever process counts
             # it: one lane's count grows by one, so the tally's mass is odd
-            rows, tally = real(index, i0, i1)
-            if i0 == 0 and tally:
+            rows, tally = real(n, g0, g1)
+            if g0 == 0 and tally:
                 count = min(tally)
                 tally[count] -= 1
                 tally[count + 1] += 1
@@ -535,7 +599,7 @@ def test_odd_partner_sum_is_an_internal_error(monkeypatch, capsys):
     for call in _each_entry_point(wrap):
         with pytest.raises(ArithmeticError, match="odd"):
             call()
-    monkeypatch.setattr(census, "_span", wrap(census._span))
+    monkeypatch.setattr(census, "_count", wrap(census._count))
     assert cli.main(["count", "--n", "2", "--mode", "census"]) == 3
     assert "internal consistency check failed" in capsys.readouterr().err
 

@@ -1,7 +1,9 @@
+import errno
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from spairs import bigraphs, cli, enumerate_catalog, formula, sperm, weight_table
+from spairs import bigraphs, census, cli, enumerate_catalog, formula, sperm, weight_table
 from spairs.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -310,6 +312,38 @@ class TestCensus:
         assert code == 4
         assert out == ""
         assert err == f"error: block order must be >= 1, got {n}\n"
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # the census sees two CPUs, so it forks one child for its second span
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @pytest.mark.parametrize("argv", [["count", "--n", "2"], ["census", "--n", "2"]])
+    def test_failed_fork_exits_3(self, capsys, monkeypatch, two_cpus, argv):
+        # a census process that cannot start is a failed census, not invalid input
+        def failing_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "os.fork" in err
+
+    def test_killed_child_exits_3(self, capsys, monkeypatch, two_cpus):
+        # a census child that dies is reported as an error, not a traceback
+        real = census._count
+
+        def killed_in_child(n, g0, g1):
+            if g0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(n, g0, g1)
+
+        monkeypatch.setattr(census, "_count", killed_in_child)
+        code, out, err = run(capsys, "count", "--n", "2", "--mode", "census")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and f"died by signal {signal.SIGKILL.value}" in err
 
 
 class TestSudoku:
