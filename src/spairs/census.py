@@ -93,8 +93,10 @@ def mask_words(n: int, g0: int, g1: int) -> memoryview:
     the lanes of one census span; byte j of row g is the cell that the
     span's matrix j holds in global column g.  The span is read off the one
     stream every process enumerates, and the stream is not drawn past g1·R.
-    The benchmark wraps this function by name, so the name stays until the
-    program emits its own spans (ROADMAP item 6).
+    The benchmark wraps this function by name, so it stays until a benchmark
+    change that times only public calls drops that hook; a census change
+    after it can then build the lanes from ``sperm.cell_bitsets`` and
+    delete this function (ROADMAP item 6).
     """
     per_group = math.factorial(n) ** n
     stream = islice(enumerate_matrices(n), g0 * per_group, g1 * per_group)

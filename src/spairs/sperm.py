@@ -18,12 +18,17 @@ computed on each access, so hoist it when reading it repeatedly.
 ``cell_bitsets`` turns the masks on their side: one integer per cell whose
 bit j says whether matrix j of the enumeration order holds a 1 there, built
 from the digits of j without any matrix object.
+
+``board_lines`` is the one statement of the board's rows, columns and
+blocks, as cell masks in that numbering: a mask is valid iff each of those
+3n² lines holds exactly one 1 (``mask_is_valid``), and a Sudoku grid is
+valid iff each value's layer does (``sudoku.first_violation``).
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 from itertools import permutations, product
 from typing import Iterator, NamedTuple, Sequence
 
@@ -194,6 +199,26 @@ def cell_bitsets(n: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None, typed=True)  # typed, so True misses 1's entry
+def board_lines(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The board's n² rows, n² columns and n² blocks as cell masks.
+
+    Masks use ``SPermMatrix.mask``'s cell numbering; rows and columns run
+    top to bottom and left to right, blocks in (block row, block column)
+    order.  Cached per block order.
+    """
+    check_order(n)
+    n2 = n * n
+    row = (1 << n2) - 1
+    column = sum(1 << (r * n2) for r in range(n2))
+    block = sum(((1 << n) - 1) << (i * n2) for i in range(n))
+    return (
+        tuple(row << (r * n2) for r in range(n2)),
+        tuple(column << c for c in range(n2)),
+        tuple(block << (bi * n * n2 + bj * n) for bi in range(n) for bj in range(n)),
+    )
+
+
 def is_disjoint(a: SPermMatrix, b: SPermMatrix) -> bool:
     """True iff the two matrices share no cell holding a 1 in both."""
     if a.n != b.n:
@@ -202,30 +227,19 @@ def is_disjoint(a: SPermMatrix, b: SPermMatrix) -> bool:
 
 
 def mask_is_valid(n: int, bits: int) -> bool:
-    """Cell-level check: exactly one 1 per row, per column, and per block.
+    """Cell-level check: each line of ``board_lines(n)`` holds exactly one 1.
 
-    Reads only the bits, never the permutation parameterization, so it
-    serves as an independent validity oracle for generated matrices.  A
-    negative mask, or one with a bit at or past n⁴, is invalid; a mask that
-    is not an int (a bool included) raises ValueError.
+    Reads only the bits and the board, never the permutation
+    parameterization, so it serves as an independent validity oracle for
+    generated matrices.  A negative mask, or one with a bit at or past n⁴,
+    is invalid; a mask that is not an int (a bool included) raises
+    ValueError.
     """
     check_order(n)
     if type(bits) is not int:  # bool is an int subclass, and True == 1
         raise ValueError(f"mask must be an int, got {bits!r}")
-    n2 = n * n
-    if bits < 0 or bits >> (n2 * n2):  # a cell outside the grid
-        return False
-    rows = [0] * n2
-    cols = [0] * n2
-    blocks = [0] * n2
-    while bits:
-        low = bits & -bits
-        p = low.bit_length() - 1
-        r, c = divmod(p, n2)
-        rows[r] += 1
-        cols[c] += 1
-        blocks[(r // n) * n + (c // n)] += 1
-        bits ^= low
-    return all(v == 1 for v in rows) and all(v == 1 for v in cols) and all(
-        v == 1 for v in blocks
+    # n² ones, one in each of the n² rows, leave none outside the grid; the
+    # count also spares building a large board's lines for a hopeless mask
+    return bits >= 0 and bits.bit_count() == n * n and all(
+        (bits & line).bit_count() == 1 for lines in board_lines(n) for line in lines
     )

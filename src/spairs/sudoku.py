@@ -4,7 +4,9 @@ An n²×n² grid over 1..n² is a Sudoku matrix iff every row, column, and n×n
 block is a permutation of 1..n².  Equivalently: the cells holding value s
 form an S-permutation matrix A_s for each s, the A_s are pairwise disjoint,
 and the grid is the weighted sum 1*A_1 + 2*A_2 + ... + n²*A_{n²}.  Both
-directions of that equivalence are exercised by the tests.
+directions of that equivalence are exercised by the tests, and
+``first_violation`` checks a grid through it: each value's layer, line by
+line of the board.
 
 The module also counts the complete disjoint families themselves: in the
 graph whose vertices are all S-permutation matrices and whose edges join
@@ -23,10 +25,12 @@ from __future__ import annotations
 import math
 import random
 import re
+from itertools import chain, product
 from typing import Iterator, NamedTuple
 
 from .sperm import (
     SPermMatrix,
+    board_lines,
     build_matrix,
     cell_bitsets,
     check_cap,
@@ -116,26 +120,23 @@ def _check_shape(grid: SudokuGrid) -> None:
 def first_violation(grid: SudokuGrid) -> str | None:
     """Location of the first broken constraint group, or None if valid.
 
+    A row, column or block of ``board_lines(n)`` is a permutation of 1..n²
+    iff each value's layer, the mask of the cells holding it, meets that
+    line exactly once; rows are checked first, then columns, then blocks.
     Raises GridFormatError on malformed data: wrong dimensions or entries.
     """
     _check_shape(grid)
     n, n2 = grid.n, grid.n * grid.n
-    want = set(range(1, n2 + 1))
-    for r, row in enumerate(grid.cells):
-        if set(row) != want:
-            return f"row {r + 1} is not a permutation of 1..{n2}"
-    for c in range(n2):
-        if {row[c] for row in grid.cells} != want:
-            return f"column {c + 1} is not a permutation of 1..{n2}"
-    for bi in range(n):
-        for bj in range(n):
-            block = {
-                grid.cells[bi * n + i][bj * n + j]
-                for i in range(n)
-                for j in range(n)
-            }
-            if block != want:
-                return f"block ({bi + 1}, {bj + 1}) is not a permutation of 1..{n2}"
+    layers = [0] * n2  # layers[v - 1]: the cells holding v, in mask numbering
+    for p, v in enumerate(chain.from_iterable(grid.cells)):
+        layers[v - 1] |= 1 << p
+    rows, columns, blocks = board_lines(n)
+    names = range(1, n2 + 1)
+    for kind, labels, lines in (("row", names, rows), ("column", names, columns),
+                                ("block", product(names[:n], repeat=2), blocks)):
+        for label, line in zip(labels, lines):
+            if any((layer & line).bit_count() != 1 for layer in layers):
+                return f"{kind} {label} is not a permutation of 1..{n2}"
     return None
 
 

@@ -74,6 +74,11 @@ def matrices2():
 
 
 @pytest.fixture(scope="session")
+def masks3():
+    return [m.mask for m in sp.enumerate_matrices(3)]
+
+
+@pytest.fixture(scope="session")
 def all_grids2():
     return list(sp.iter_grids(2))
 

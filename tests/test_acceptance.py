@@ -133,21 +133,14 @@ def test_criterion_05_formula_equals_census(acceptance_log, catalog2, catalog3, 
     assert ok
 
 
-def test_criterion_06_matrix_enumeration(acceptance_log, matrices2):
-    mats3_masks = set()
-    valid3 = True
-    count3 = 0
-    for m in sp.enumerate_matrices(3):
-        count3 += 1
-        mats3_masks.add(m.mask)
-        valid3 = valid3 and sp.mask_is_valid(3, m.mask)
+def test_criterion_06_matrix_enumeration(acceptance_log, matrices2, masks3):
     ok = (
         len(matrices2) == 16
         and len({m.mask for m in matrices2}) == 16
         and all(sp.mask_is_valid(2, m.mask) for m in matrices2)
-        and count3 == 46656
-        and len(mats3_masks) == 46656
-        and valid3
+        and len(masks3) == 46656
+        and len(set(masks3)) == 46656
+        and all(sp.mask_is_valid(3, bits) for bits in masks3)
         and sp.matrix_count(2) == 16
         and sp.matrix_count(3) == 46656
     )

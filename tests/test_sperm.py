@@ -88,6 +88,7 @@ class TestBuild:
             pytest.param(lambda n: matrix_at(n, 0), ValueError, id="matrix_at"),
             pytest.param(cell_bitsets, ValueError, id="cell_bitsets"),
             pytest.param(lambda n: mask_is_valid(n, 0), ValueError, id="mask_is_valid"),
+            pytest.param(sperm.board_lines, ValueError, id="board_lines"),
             pytest.param(run_census, ValueError, id="run_census"),
             pytest.param(degree_histogram, ValueError, id="degree_histogram"),
             pytest.param(enumerate_catalog, ValueError, id="enumerate_catalog"),
@@ -287,6 +288,44 @@ class TestMaskOracle:
     def test_non_int_mask_rejected(self, bits):
         with pytest.raises(ValueError, match="mask must be an int"):
             mask_is_valid(2, bits)
+
+    def test_valid_masks_at_n2_are_the_matrices(self):
+        valid = {bits for bits in range(1 << 16) if mask_is_valid(2, bits)}
+        assert valid == {m.mask for m in enumerate_matrices(2)}
+
+    def test_agrees_with_a_bit_walk_at_n3(self, masks3):
+        # reference: walk the set bits, counting each one's row, column and block
+        def walked(bits):
+            rows, cols, blocks = [0] * 9, [0] * 9, [0] * 9
+            while bits:
+                low = bits & -bits
+                r, c = divmod(low.bit_length() - 1, 9)
+                rows[r] += 1
+                cols[c] += 1
+                blocks[(r // 3) * 3 + c // 3] += 1
+                bits ^= low
+            return rows == cols == blocks == [1] * 9
+
+        assert all(mask_is_valid(3, bits) and walked(bits) for bits in masks3)
+        rng = random.Random(3)
+        for _ in range(5000):
+            # a flipped cell, then a second flip: a one added, lost or moved
+            flipped = rng.choice(masks3) ^ 1 << rng.randrange(81)
+            twice = flipped ^ 1 << rng.randrange(81)
+            noise = rng.getrandbits(81)
+            for bits in (flipped, twice, noise):
+                assert mask_is_valid(3, bits) == walked(bits), bits
+
+    def test_board_lines(self):
+        rows, cols, blocks = sperm.board_lines(2)
+        assert rows == (0xF, 0xF0, 0xF00, 0xF000)
+        assert cols == (0x1111, 0x2222, 0x4444, 0x8888)
+        # (block row, block column) order
+        assert blocks == (0x33, 0xCC, 0x3300, 0xCC00)
+        # the cache keeps 1 and True apart, so True is still refused
+        assert sperm.board_lines(1) == ((1,), (1,), (1,))
+        with pytest.raises(ValueError, match="must be an int, got True"):
+            sperm.board_lines(True)
 
 
 @given(perms_strategy(3))

@@ -65,6 +65,28 @@ class TestValidation:
             "block (1, 1) is not a permutation of 1..4"
         )
 
+    @pytest.mark.parametrize(
+        "swap,message",
+        [
+            ("cells", "column 1"),
+            ("rows", "block (2, 1)"),
+            ("columns", "block (1, 2)"),
+        ],
+    )
+    def test_violations_at_n3(self, swap, message):
+        # each swap keeps every earlier line intact, so the message names
+        # the block by (block row, block column)
+        cells = [list(row) for row in recompose(sample_family(3, 1)).cells]
+        if swap == "cells":  # cells (1, 1) and (1, 2)
+            cells[0][0], cells[0][1] = cells[0][1], cells[0][0]
+        elif swap == "rows":  # rows 6 and 7
+            cells[5], cells[6] = cells[6], cells[5]
+        else:  # columns 6 and 7
+            for row in cells:
+                row[5], row[6] = row[6], row[5]
+        grid = SudokuGrid(3, tuple(map(tuple, cells)))
+        assert first_violation(grid) == f"{message} is not a permutation of 1..9"
+
     def test_malformed_shapes(self):
         with pytest.raises(GridFormatError, match="expected 4 rows"):
             decompose(SudokuGrid(2, ((1, 2, 3, 4),)))
